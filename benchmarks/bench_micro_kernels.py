@@ -141,12 +141,12 @@ def test_per_step_lif_forward_backward(benchmark, lif_workload):
 # ----------------------------------------------------------------------
 # Per-backend rows: the same fused workloads pinned to each registered
 # kernel backend (REPRO_BACKEND).  Unavailable backends skip, so the
-# rows degrade gracefully on runners without a C compiler or torch;
+# rows degrade gracefully on runners without a C compiler;
 # check_regression.py asserts the C backend beats numpy on at least one
 # kernel whenever its rows are present.
 # ----------------------------------------------------------------------
 
-_BACKEND_NAMES = ("numpy", "c", "torch")
+_BACKEND_NAMES = ("numpy", "c")
 
 
 def _require_backend(name, monkeypatch):

@@ -1,4 +1,4 @@
-"""A long task stream on a memory budget: federated stores + prefetch.
+"""A long task stream on a memory budget: federated replay stores.
 
 The scenario the federation exists for: an embedded agent keeps meeting
 new classes, and replay memory must stay flat no matter how long the
@@ -6,15 +6,15 @@ stream runs.  Three acts:
 
 1. **Store-federated sequential NCL** — a 3-step class-incremental
    stream where every step persists its latent replay into a member
-   store of one `FederatedReplayStore` and trains through a lazy,
-   prefetching shard stream; peak resident replay memory is measured
+   store of one `FederatedReplayStore` and trains through a lazy shard
+   stream; peak resident replay memory is measured
    per step and compared against the dense buffer it replaces.
 2. **Global budget** — the same stream under a hard byte budget across
    *all* steps' stores: after each step the federation rebalances,
    evicting across members class-balancedly, and the archive never
    exceeds the budget.
-3. **Prefetch switch** — the identical run with `REPRO_PREFETCH`
-   semantics (prefetch on vs off) verifying bit-identical trajectories.
+3. **Dense parity** — the identical stream with replay held dense in
+   memory, verifying the store-backed run reproduced it bit for bit.
 
 Run:  python examples/long_task_sequence.py
 """
@@ -118,25 +118,15 @@ def budgeted_run(exp, network, splits, workdir: Path, reference):
     print(f"trajectory unchanged by archival budget: {identical}")
 
 
-def prefetch_parity(exp, network, splits, workdir: Path, reference):
-    print("\n=== act 3: prefetch on vs off, bit-identical ===")
-    result = run_sequential(
-        lambda k: Replay4NCL(exp),
-        network,
-        splits,
-        replay=ReplaySpec(
-            store_dir=workdir / "no-prefetch", shard_samples=4, prefetch=False
-        ),
-    )
+def dense_parity(exp, network, splits, reference):
+    print("\n=== act 3: dense in-memory replay vs the store, bit-identical ===")
+    result = run_sequential(lambda k: Replay4NCL(exp), network, splits)
     identical = all(
         np.array_equal(p.data, q.data)
         for a, b in zip(reference.steps, result.steps)
         for p, q in zip(a.network.parameters(), b.network.parameters())
     )
-    print(
-        "final weights identical with the decode worker disabled: "
-        f"{identical} (the thread only moves work, never changes it)"
-    )
+    print(f"final weights identical to the dense run: {identical}")
 
 
 def main() -> None:
@@ -145,7 +135,7 @@ def main() -> None:
         workdir = Path(tmp)
         reference = federated_run(exp, network, splits, workdir)
         budgeted_run(exp, network, splits, workdir, reference)
-        prefetch_parity(exp, network, splits, workdir, reference)
+        dense_parity(exp, network, splits, reference)
 
 
 if __name__ == "__main__":

@@ -334,7 +334,7 @@ def _cmd_backends() -> int:
             f"{marker} {row['name']:{name_w}s}  {row['parity']:9s} "
             f"{status:11s}  {row['reason']}"
         )
-    print("(* = selected; set REPRO_BACKEND=numpy|c|torch|auto to override)")
+    print("(* = selected; set REPRO_BACKEND=numpy|c|auto to override)")
     if not any(row["selected"] for row in rows):
         print(
             f"error: requested backend {requested!r} is unavailable "

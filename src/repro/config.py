@@ -261,7 +261,7 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 #: Valid values of ``REPRO_BACKEND`` (see :mod:`repro.snn.backends`).
-BACKEND_CHOICES: tuple[str, ...] = ("auto", "numpy", "c", "torch")
+BACKEND_CHOICES: tuple[str, ...] = ("auto", "numpy", "c")
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ class EnvFlag:
     Attributes:
         name: The environment variable, e.g. ``"REPRO_BACKEND"``.
         default: Effective value when the variable is unset.
-        values: Human-readable domain, e.g. ``"numpy | c | torch | auto"``.
+        values: Human-readable domain, e.g. ``"numpy | c | auto"``.
         description: One-line summary used by the docs reference.
     """
 
@@ -286,9 +286,9 @@ ENV_FLAGS: tuple[EnvFlag, ...] = (
     EnvFlag(
         "REPRO_BACKEND",
         "auto",
-        "numpy | c | torch | auto",
+        "numpy | c | auto",
         "Kernel backend executing the fused SNN sequence sweeps; "
-        "`auto` probes availability in speed order (c, torch, numpy).",
+        "`auto` probes availability in speed order (c, numpy).",
     ),
     EnvFlag(
         "REPRO_FUSED_KERNELS",
@@ -296,13 +296,6 @@ ENV_FLAGS: tuple[EnvFlag, ...] = (
         "1 | 0",
         "Kill switch for the fused sequence kernels; 0 forces the "
         "per-step reference tape everywhere.",
-    ),
-    EnvFlag(
-        "REPRO_PREFETCH",
-        "1",
-        "1 | 0",
-        "Kill switch for the background shard-prefetch worker on "
-        "store-backed replay streams.",
     ),
     EnvFlag(
         "REPRO_BENCH_SCALE",

@@ -49,10 +49,6 @@ class ReplaySpec:
     overwrite:
         Replace an existing store/federation at ``store_dir`` instead of
         refusing to clobber it (the re-run switch).
-    prefetch:
-        Async shard prefetch on the store-backed path: ``True``/``False``
-        force it, ``None`` defers to the ``REPRO_PREFETCH`` environment
-        switch.  Output is bitwise-identical either way.
     federation_budget_bytes:
         Optional global byte budget enforced across all steps' member
         stores by cross-member eviction (multi-step runs only).
@@ -66,7 +62,6 @@ class ReplaySpec:
     store_dir: str | Path | None = None
     shard_samples: int | None = None
     overwrite: bool = False
-    prefetch: bool | None = None
     federation_budget_bytes: int | None = None
     federation_policy: str = "class-balanced"
     federation_seed: int = 0
@@ -101,7 +96,6 @@ class ReplaySpec:
                 name
                 for name, value in (
                     ("shard_samples", self.shard_samples),
-                    ("prefetch", self.prefetch),
                     ("federation_budget_bytes", self.federation_budget_bytes),
                 )
                 if value is not None
@@ -136,7 +130,7 @@ class ReplaySpec:
         """Spec for one federation member store under ``store_dir``.
 
         Multi-step runners hand each step this per-member view: the same
-        shard/overwrite/prefetch settings, rooted at
+        shard/overwrite settings, rooted at
         ``store_dir/<name>``, with the federation-level fields stripped
         (the runner, not the per-step method, owns the federation).
         """
@@ -146,7 +140,6 @@ class ReplaySpec:
             store_dir=Path(self.store_dir) / name,
             shard_samples=self.shard_samples,
             overwrite=self.overwrite,
-            prefetch=self.prefetch,
         )
 
     def describe(self) -> str:

@@ -17,10 +17,10 @@ Long sequences should not hold replay densely: pass
 ``replay=ReplaySpec(store_dir=...)`` to persist every step's latent
 data as a member of a
 :class:`~repro.replaystore.federation.FederatedReplayStore` — each step
-trains through a lazy (optionally prefetching) shard stream, so peak
-resident replay memory stays bounded by the shard size no matter how
-many tasks the stream brings, and an optional global byte budget is
-enforced across all steps' stores by cross-member eviction.
+trains through a lazy shard stream, so peak resident replay memory
+stays bounded by the shard size no matter how many tasks the stream
+brings, and an optional global byte budget is enforced across all
+steps' stores by cross-member eviction.
 """
 
 from __future__ import annotations

@@ -174,13 +174,6 @@ class NCLMethod:
         memory stays bounded by the stream's decode cache: two decoded
         shards, i.e. ``2 * spec.shard_samples`` dense samples (measured
         into ``NCLResult.replay_peak_resident_bytes``).
-
-        ``spec.prefetch`` controls async shard prefetch on that path: a
-        background thread decodes the next minibatch's shards while the
-        current batch trains (see
-        :class:`~repro.replaystore.prefetch.PrefetchingStream` — output
-        is bitwise-identical either way).  ``None`` defers to the
-        ``REPRO_PREFETCH`` environment switch.
         """
         replay = resolve_replay_spec(replay)
         if replay is None:
@@ -250,7 +243,7 @@ class NCLMethod:
         latent_frames = 0
         decompressed_cells = 0
         store_path: str | None = None
-        replay_view = None
+        stream = None
         if buffer is not None:
             latent_bytes = buffer.storage_bytes()
             latent_frames = buffer.stored_frames
@@ -264,7 +257,6 @@ class NCLMethod:
             train_labels = np.concatenate([new_labels, buffer.labels])
         elif store is not None:
             from repro.hw.memory import latent_memory_bytes
-            from repro.replaystore.prefetch import PrefetchingStream
             from repro.replaystore.stream import ConcatReplaySource, ReplayStream
 
             # Path-independent accounting: same storage model the dense
@@ -280,8 +272,7 @@ class NCLMethod:
                     * store.meta.num_channels
                 )
             stream = ReplayStream(store, decompress=self.decompress_for_replay())
-            replay_view = PrefetchingStream(stream, enabled=replay.prefetch)
-            train_inputs = ConcatReplaySource(new_activations, replay_view)
+            train_inputs = ConcatReplaySource(new_activations, stream)
             train_labels = np.concatenate([new_labels, store.labels])
             store_path = str(store.root)
         else:
@@ -289,71 +280,65 @@ class NCLMethod:
             train_labels = new_labels
 
         # ---- NCL training (Alg. 1 lines 21-33) ------------------------
-        # The try covers everything from here to the end of training:
-        # replay_view owns a live worker thread, so any failure before
-        # fit() must still join it (not just failures inside fit).
-        try:
-            controller = self.make_controller()
-            optimizer = Adam(
-                network.trainable_parameters(), self.learning_rate()
-            )
-            trainer = Trainer(
-                network,
-                optimizer,
-                TrainerConfig(
-                    epochs=config.ncl.epochs,
-                    batch_size=config.ncl.batch_size,
-                    start_layer=insertion,
-                ),
-                rng=rng,
-                controller=controller,
-            )
-
-            old_test = split.pretrain_test.to_dense(timesteps)
-            new_test = split.new_test.to_dense(timesteps)
-            old_labels = split.pretrain_test.labels
-            new_test_labels = split.new_test.labels
-
-            def predict(inputs: np.ndarray) -> np.ndarray:
-                # Deployment semantics of Alg. 1: the frozen front keeps
-                # its static pre-trained threshold; adaptive thresholds
-                # apply to the learning layers only.
-                return network.predict(
-                    inputs,
-                    controller=self.make_controller(),
-                    controller_from_layer=insertion,
-                )
-
-            def eval_old() -> float:
-                return top1_accuracy(predict(old_test), old_labels)
-
-            def eval_new() -> float:
-                return top1_accuracy(predict(new_test), new_test_labels)
-
-            def eval_overall() -> float:
-                preds = np.concatenate([predict(old_test), predict(new_test)])
-                labels = np.concatenate([old_labels, new_test_labels])
-                return top1_accuracy(preds, labels)
-
-            with obs.span(
-                "ncl.train",
-                category="scenario",
-                method=self.name,
+        controller = self.make_controller()
+        optimizer = Adam(network.trainable_parameters(), self.learning_rate())
+        trainer = Trainer(
+            network,
+            optimizer,
+            TrainerConfig(
                 epochs=config.ncl.epochs,
-            ):
-                history = trainer.fit(
-                    train_inputs,
-                    train_labels,
-                    evaluators={
-                        "old_task_accuracy": eval_old,
-                        "new_task_accuracy": eval_new,
-                        "overall_accuracy": eval_overall,
-                    },
-                )
-        finally:
-            if replay_view is not None:
-                replay_view.close()
-        peak_resident = replay_view.peak_cache_bytes if replay_view else 0
+                batch_size=config.ncl.batch_size,
+                start_layer=insertion,
+            ),
+            rng=rng,
+            controller=controller,
+        )
+
+        old_test = split.pretrain_test.to_dense(timesteps)
+        new_test = split.new_test.to_dense(timesteps)
+        old_labels = split.pretrain_test.labels
+        new_test_labels = split.new_test.labels
+
+        def predict(inputs: np.ndarray) -> np.ndarray:
+            # Deployment semantics of Alg. 1: the frozen front keeps
+            # its static pre-trained threshold; adaptive thresholds
+            # apply to the learning layers only.
+            return network.predict(
+                inputs,
+                controller=self.make_controller(),
+                controller_from_layer=insertion,
+            )
+
+        def eval_old() -> float:
+            return top1_accuracy(predict(old_test), old_labels)
+
+        def eval_new() -> float:
+            return top1_accuracy(predict(new_test), new_test_labels)
+
+        def eval_overall() -> float:
+            preds = np.concatenate([predict(old_test), predict(new_test)])
+            labels = np.concatenate([old_labels, new_test_labels])
+            return top1_accuracy(preds, labels)
+
+        with obs.span(
+            "ncl.train",
+            category="scenario",
+            method=self.name,
+            epochs=config.ncl.epochs,
+        ):
+            history = trainer.fit(
+                train_inputs,
+                train_labels,
+                evaluators={
+                    "old_task_accuracy": eval_old,
+                    "new_task_accuracy": eval_new,
+                    "overall_accuracy": eval_overall,
+                },
+            )
+        peak_resident = 0
+        if stream is not None:
+            stream.close()  # release the reader pin
+            peak_resident = stream.peak_cache_bytes
 
         epoch_costs = self._collect_epoch_costs(
             trainer, network, insertion, new_inputs, decompressed_cells, timesteps

@@ -73,22 +73,10 @@ class DataLoader:
         order = np.arange(self.num_samples)
         if self.shuffle:
             self.rng.shuffle(order)
-        starts = range(0, self.num_samples, self.batch_size)
-        batches = [order[start : start + self.batch_size] for start in starts]
-        # Lazy sources that can warm themselves (PrefetchingStream via
-        # ConcatReplaySource) are told the *next* batch's indices after
-        # the current batch is materialised but before it is served: its
-        # shards then decode on the background thread while the consumer
-        # trains on this batch.  Advising after the gather matters — the
-        # other order would have the warm-up evict shards the current
-        # gather is about to touch.  Purely advisory: batch content and
-        # order are unaffected.
-        advise = getattr(self.inputs, "prefetch", None) if self._lazy else None
-        for i, batch in enumerate(batches):
+        for start in range(0, self.num_samples, self.batch_size):
+            batch = order[start : start + self.batch_size]
             if self._lazy:
                 data = self.inputs.gather(batch)
             else:
                 data = self.inputs[:, batch, :]
-            if advise is not None and i + 1 < len(batches):
-                advise(batches[i + 1])
             yield data, self.labels[batch]

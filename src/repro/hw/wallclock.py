@@ -11,6 +11,7 @@ host.  Two uses:
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -64,9 +65,25 @@ def measure_ratio(
     fast_fn: Callable[[], object],
     repeats: int = 5,
 ) -> float:
-    """Best-time ratio slow/fast — e.g. a T=100 epoch vs a T=40 epoch."""
-    slow = measure(slow_fn, "slow", repeats=repeats)
-    fast = measure(fast_fn, "fast", repeats=repeats)
-    if fast.best_s == 0:
-        raise ConfigError("fast callable measured as zero time")
-    return slow.best_s / fast.best_s
+    """Median slow/fast time ratio — e.g. a T=100 epoch vs a T=40 epoch.
+
+    The two callables are timed in adjacent pairs and the ratio is taken
+    per pair, so a stretch of host load (a preempted run, a busy sibling
+    core) lands on both sides of a pair instead of skewing one side's
+    best time; the median then drops the pairs a burst split unevenly.
+    """
+    if repeats <= 0:
+        raise ConfigError(f"repeats must be positive, got {repeats}")
+    slow_fn()
+    fast_fn()
+    ratios = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        slow_fn()
+        middle = time.perf_counter()
+        fast_fn()
+        end = time.perf_counter()
+        if end == middle:
+            raise ConfigError("fast callable measured as zero time")
+        ratios.append((middle - start) / (end - middle))
+    return statistics.median(ratios)

@@ -4,9 +4,8 @@ The paper's latent replay buffer, grown into a storage system: shards of
 codec-compressed binary rasters on disk (``format``/``store``), hard
 byte budgets with pluggable admission/eviction (``policies``/
 ``builder``), lazy shard-at-a-time replay into training (``stream``),
-async shard prefetch overlapping decode with the SNN step
-(``prefetch``), and multi-store federation for long task sequences
-under one global budget (``federation``).
+and multi-store federation for long task sequences under one global
+budget (``federation``).
 ``LatentReplayBuffer.to_store()`` and the run entry points with a
 store-backed spec — ``NCLMethod.run(...,
 replay=ReplaySpec(store_dir=...))``, ``run_sequential`` /
@@ -43,8 +42,6 @@ from repro.replaystore.store import (
     StoreMeta,
     StoreStats,
 )
-from repro.replaystore.prefetch import PrefetchingStream, prefetch_enabled
-from repro.replaystore.service import ReplayService, ServiceStats
 from repro.replaystore.stream import ConcatReplaySource, ReplayStream
 
 __all__ = [
@@ -69,11 +66,7 @@ __all__ = [
     "StoreStats",
     "ConcatReplaySource",
     "ReplayStream",
-    "PrefetchingStream",
-    "prefetch_enabled",
     "FederatedReplayStore",
     "FederatedReplayStream",
     "FederationStats",
-    "ReplayService",
-    "ServiceStats",
 ]

@@ -71,9 +71,9 @@ FEDERATION_LOCK_NAME = "federation.json.lock"
 FEDERATION_VERSION = 1
 
 #: Default cap on simultaneously open member handles/streams.  Member
-#: indexes are small, but a fleet-scale federation has thousands of
-#: members — opening them all eagerly is exactly what the lazy path
-#: exists to avoid.
+#: indexes are small, but a long task stream has one member per step —
+#: opening them all eagerly is exactly what the lazy path exists to
+#: avoid.
 DEFAULT_OPEN_MEMBERS = 8
 
 
@@ -595,7 +595,6 @@ class FederatedReplayStore:
         decompress: bool = False,
         cache_shards: int = 2,
         max_open_streams: int | None = None,
-        prefetch: bool = False,
     ) -> "FederatedReplayStream":
         """Lazy class-spanning view over every member's samples.
 
@@ -605,8 +604,7 @@ class FederatedReplayStore:
         member's :class:`~repro.replaystore.stream.ReplayStream` is only
         opened when a gather first touches it — at most
         ``max_open_streams`` (default :attr:`max_open_members`) member
-        streams stay open at once.  ``prefetch=True`` wraps each opened
-        member in a :class:`~repro.replaystore.prefetch.PrefetchingStream`.
+        streams stay open at once.
         """
         geometry = self.geometry
         if geometry is None and self.member_names:
@@ -630,17 +628,12 @@ class FederatedReplayStore:
             )
         root = self.root
 
-        def opener(name: str) -> ReplayStream | "PrefetchingStream":
-            stream = ReplayStream(
+        def opener(name: str) -> ReplayStream:
+            return ReplayStream(
                 ReplayStore.open(root / name),
                 decompress=decompress,
                 cache_shards=cache_shards,
             )
-            if prefetch:
-                from repro.replaystore.prefetch import PrefetchingStream
-
-                return PrefetchingStream(stream)
-            return stream
 
         timesteps = (
             geometry["generated_timesteps"]
@@ -776,14 +769,6 @@ class FederatedReplayStream:
     # ------------------------------------------------------------------
     # Member stream lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def _close_stream(stream) -> None:
-        """Close a member view and its wrapped stream (pin release)."""
-        stream.close()
-        inner = getattr(stream, "stream", None)
-        if inner is not None and hasattr(inner, "close"):
-            inner.close()  # PrefetchingStream wraps the pinned stream
-
     def _stream(self, member: int) -> ReplayStream:
         """Member stream ``member``, opening (and LRU-evicting) as needed."""
         if member in self._open:
@@ -792,10 +777,10 @@ class FederatedReplayStream:
         while len(self._open) >= self.max_open_streams:
             _, victim = self._open.popitem(last=False)
             self._retired_peak_bytes += victim.peak_cache_bytes
-            self._close_stream(victim)
+            victim.close()
         stream = self._openers[member]()
         if stream.num_samples != self._counts[member]:
-            self._close_stream(stream)
+            stream.close()
             raise StoreError(
                 f"store was mutated: member {member} now holds "
                 f"{stream.num_samples} samples, this view was laid out "
@@ -805,7 +790,7 @@ class FederatedReplayStream:
             stream.timesteps != self._timesteps
             or stream.num_channels != self._num_channels
         ):
-            self._close_stream(stream)
+            stream.close()
             raise StoreError(
                 f"member streams disagree on geometry: "
                 f"[T={self._timesteps}, C={self._num_channels}] vs "
@@ -826,7 +811,7 @@ class FederatedReplayStream:
         while self._open:
             _, stream = self._open.popitem(last=False)
             self._retired_peak_bytes += stream.peak_cache_bytes
-            self._close_stream(stream)
+            stream.close()
 
     def __enter__(self) -> "FederatedReplayStream":
         return self
@@ -910,35 +895,6 @@ class FederatedReplayStream:
                 local = indices[mask] - self._bounds[member]
                 out[:, mask, :] = self._stream(int(member)).gather(local)
         return out
-
-    def prefetch(self, indices: np.ndarray) -> int:
-        """Advise members that ``indices`` are needed soon (advisory).
-
-        Routed like :meth:`gather`; members whose view cannot prefetch
-        (plain :class:`ReplayStream`) and out-of-range advice are
-        skipped.  Only already-open members are advised — warming a
-        member would force an open the caller never committed to.
-        Returns the number of shard decodes actually queued.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        valid = (indices >= 0) & (indices < self.num_samples)
-        if not np.all(valid):
-            obs.count(
-                "prefetch.bogus_advice", int(np.count_nonzero(~valid))
-            )
-            indices = indices[valid]
-        if indices.size == 0:
-            return 0
-        member_of = np.searchsorted(self._bounds, indices, side="right") - 1
-        queued = 0
-        for member in np.unique(member_of):
-            stream = self._open.get(int(member))
-            hook = getattr(stream, "prefetch", None)
-            if hook is None:
-                continue
-            mask = member_of == member
-            queued += int(hook(indices[mask] - self._bounds[member]))
-        return queued
 
     def __iter__(self):
         """Yield ``(raster, labels)`` shard by shard across members."""

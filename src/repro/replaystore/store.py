@@ -513,10 +513,20 @@ class ReplayStore:
             raster, labels = decode_shard(blob)
         obs.count("store.bytes_decoded", len(blob))
         obs.count("store.shards_decoded")
-        if raster.shape[1] != info.num_samples or not np.array_equal(
-            labels, np.asarray(info.labels, dtype=np.int64)
-        ):
-            raise StoreError(f"shard {shard_id} disagrees with the index")
+        if raster.shape[1] != info.num_samples:
+            raise StoreError(
+                f"shard {shard_id} disagrees with the index: "
+                f"{raster.shape[1]} samples, index says {info.num_samples}"
+            )
+        expected = np.asarray(info.labels, dtype=np.int64)
+        mismatch = np.flatnonzero(labels != expected)
+        if mismatch.size:
+            first = int(mismatch[0])
+            raise StoreError(
+                f"shard {shard_id} disagrees with the index: "
+                f"{mismatch.size} label(s) differ, first at sample {first} "
+                f"(shard says {labels[first]}, index says {expected[first]})"
+            )
         return raster, labels
 
     # ------------------------------------------------------------------

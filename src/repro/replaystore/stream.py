@@ -204,9 +204,9 @@ class ReplayStream:
         shard_of = np.searchsorted(self._bounds, indices, side="right") - 1
         # Serve cached shards first: a cold decode evicts the LRU tail,
         # so touching warm shards before any eviction can reach them
-        # keeps a prefetched (or recently used) shard from being thrown
-        # away unread.  Output is written by mask position, so the
-        # processing order never changes the result.
+        # keeps a recently used shard from being thrown away unread.
+        # Output is written by mask position, so the processing order
+        # never changes the result.
         needed = np.unique(shard_of)
         ordered = sorted(needed, key=lambda s: (int(s) not in self._cache, s))
         with obs.span(
@@ -284,29 +284,3 @@ class ConcatReplaySource:
         if np.any(~from_dense):
             out[:, ~from_dense, :] = self.stream.gather(indices[~from_dense] - split)
         return out
-
-    def prefetch(self, indices: np.ndarray) -> int:
-        """Advise the replay half that ``indices`` are needed soon.
-
-        Forwarded to the stream's ``prefetch`` when it has one (e.g. a
-        :class:`~repro.replaystore.prefetch.PrefetchingStream`); the
-        dense half needs no warm-up.  Returns the number of shard decode
-        requests actually queued (0 when the stream cannot prefetch).
-        """
-        hook = getattr(self.stream, "prefetch", None)
-        if hook is None:
-            return 0
-        indices = np.asarray(indices, dtype=np.int64)
-        # Advice is advisory, but bogus advice is not harmless: an
-        # out-of-range index would map to a nonexistent shard id and
-        # poison the prefetch queue.  Apply the same bounds gather
-        # enforces, dropping (not raising — callers speculate) the
-        # invalid entries.
-        bogus = (indices < 0) | (indices >= self.shape[1])
-        if np.any(bogus):
-            obs.count("prefetch.bogus_advice", int(np.count_nonzero(bogus)))
-            indices = indices[~bogus]
-        replay = indices[indices >= self.dense.shape[1]] - self.dense.shape[1]
-        if replay.size == 0:
-            return 0
-        return int(hook(replay))

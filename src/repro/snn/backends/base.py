@@ -19,12 +19,12 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
 - A backend declares its :attr:`~SequenceExecutor.parity` class —
   ``"bitwise"`` executors must replicate the reference association order
   documented in :mod:`repro.snn.kernels` exactly; ``"tolerance"``
-  executors (e.g. torch) are pinned to the reference within a numeric
+  executors are pinned to the reference within a numeric
   tolerance by the parity suite.
 - Availability is probed lazily and reported with a human-readable
   reason; probing must never raise.
 - Selection is per-process via the ``REPRO_BACKEND`` environment flag
-  (``numpy | c | torch | auto``, threaded through
+  (``numpy | c | auto``, threaded through
   :func:`repro.config.backend_selection`).  ``auto`` walks the registry
   in ascending :attr:`~SequenceExecutor.priority` (speed) order and
   picks the first available executor; an explicitly requested backend

@@ -16,8 +16,7 @@ time-recurrent sweeps to the backend selected via ``REPRO_BACKEND``
 (see :mod:`repro.snn.backends`).  The numpy reference executor runs the
 same elementwise operations in the same order as the per-step path, so
 fused and per-step paths are interchangeable; the C executor replicates
-that association order bitwise in compiled code; the torch executor is
-tolerance-gated.  The dispatch in :mod:`repro.snn.layers` uses the
+that association order bitwise in compiled code.  The dispatch in :mod:`repro.snn.layers` uses the
 fused kernels whenever the effective threshold is static for the whole
 sequence (``None`` or a :class:`~repro.snn.threshold.StaticThreshold`)
 and falls back to the per-step path for dynamic

@@ -30,8 +30,6 @@ class TestReplaySpecValidation:
         with pytest.raises(ConfigError, match="require store_dir"):
             ReplaySpec(shard_samples=4)
         with pytest.raises(ConfigError, match="require store_dir"):
-            ReplaySpec(prefetch=True)
-        with pytest.raises(ConfigError, match="require store_dir"):
             ReplaySpec(overwrite=True)
         with pytest.raises(ConfigError, match="require store_dir"):
             ReplaySpec(federation_budget_bytes=1024)
@@ -48,14 +46,12 @@ class TestReplaySpecValidation:
         spec = ReplaySpec(
             store_dir=tmp_path,
             shard_samples=8,
-            prefetch=False,
             federation_budget_bytes=4096,
             federation_seed=3,
         )
         member = spec.member("step-001")
         assert member.store_dir == tmp_path / "step-001"
         assert member.shard_samples == 8
-        assert member.prefetch is False
         # Federation-level fields are stripped: the runner owns them.
         assert member.federation_budget_bytes is None
         assert member.federation_seed == 0
@@ -108,3 +104,12 @@ class TestLegacyKwargsRemoved:
                 ci_split,
                 replay=42,
             )
+
+
+class TestNoThreadingOptions:
+    """Store-backed replay is synchronous: there is nothing to tune."""
+
+    @pytest.mark.parametrize("option", ["prefetch", "queue_shards"])
+    def test_spec_rejects_threading_options(self, tmp_path, option):
+        with pytest.raises(TypeError, match=option):
+            ReplaySpec(store_dir=tmp_path, **{option: True})

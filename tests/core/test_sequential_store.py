@@ -4,8 +4,7 @@ Scenario-level acceptance tests for `run_sequential(..., replay=ReplaySpec(...))
 a 3-step class-incremental stream whose replay memory lives in a
 per-step federation of on-disk stores must
 
-- reproduce the dense in-memory trajectory **bitwise** at the same seed,
-  with async shard prefetch both on and off;
+- reproduce the dense in-memory trajectory **bitwise** at the same seed;
 - keep every step's peak resident replay memory bounded by the decode
   granularity (``shard_samples`` worth of decoded shards), audited
   against the `hw.memory` model;
@@ -64,21 +63,17 @@ def dense_result(scenario):
 
 
 @pytest.fixture(scope="module")
-def store_results(scenario, tmp_path_factory):
-    """Store-backed runs with prefetch forced on and forced off."""
+def store_result(scenario, tmp_path_factory):
     exp, pretrained, splits = scenario
-    results = {}
-    for mode in (True, False):
-        root = tmp_path_factory.mktemp("seq-fed") / f"prefetch-{mode}"
-        results[mode] = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits,
-            replay=ReplaySpec(
-                store_dir=root, shard_samples=SHARD_SAMPLES, prefetch=mode
-            ),
-        )
-    return results
+    return run_sequential(
+        lambda k: Replay4NCL(exp),
+        pretrained.network,
+        splits,
+        replay=ReplaySpec(
+            store_dir=tmp_path_factory.mktemp("seq-fed"),
+            shard_samples=SHARD_SAMPLES,
+        ),
+    )
 
 
 def assert_trajectory_identical(dense, stored):
@@ -97,21 +92,20 @@ def assert_trajectory_identical(dense, stored):
 
 
 class TestBitwiseParity:
-    @pytest.mark.parametrize("prefetch", [True, False])
-    def test_matches_dense_trajectory(self, dense_result, store_results, prefetch):
-        assert_trajectory_identical(dense_result, store_results[prefetch])
+    def test_matches_dense_trajectory(self, dense_result, store_result):
+        assert_trajectory_identical(dense_result, store_result)
 
-    def test_storage_model_is_path_independent(self, dense_result, store_results):
-        for mem, disk in zip(dense_result.steps, store_results[True].steps):
+    def test_storage_model_is_path_independent(self, dense_result, store_result):
+        for mem, disk in zip(dense_result.steps, store_result.steps):
             assert mem.latent_storage_bytes == disk.latent_storage_bytes
             assert mem.latent_stored_frames == disk.latent_stored_frames
 
 
 class TestBoundedReplayMemory:
-    def test_peak_replay_bytes_within_shard_bound(self, store_results):
+    def test_peak_replay_bytes_within_shard_bound(self, store_result):
         """Per-step peak replay residency <= cache_shards decoded shards."""
-        federation = FederatedReplayStore.open(store_results[True].store_root)
-        for k, step in enumerate(store_results[True].steps):
+        federation = FederatedReplayStore.open(store_result.store_root)
+        for k, step in enumerate(store_result.steps):
             meta = federation.member(f"step-{k:03d}").meta
             assert meta.shard_samples == SHARD_SAMPLES
             # A decoded shard is float32-dense: the analytic bound is
@@ -126,11 +120,11 @@ class TestBoundedReplayMemory:
                 CACHE_SHARDS * shard_dense_bytes
             )
 
-    def test_peak_is_a_fraction_of_the_full_buffer(self, store_results):
+    def test_peak_is_a_fraction_of_the_full_buffer(self, store_result):
         # The point of the exercise: resident replay stays far below the
         # dense buffer a long stream would otherwise accumulate.
-        federation = FederatedReplayStore.open(store_results[True].store_root)
-        last = store_results[True].steps[-1]
+        federation = FederatedReplayStore.open(store_result.store_root)
+        last = store_result.steps[-1]
         meta = federation.member("step-002").meta
         samples = federation.member("step-002").num_samples
         dense_bytes = 4 * meta.stored_frames * samples * meta.num_channels
@@ -143,25 +137,24 @@ class TestBoundedReplayMemory:
 
 
 class TestFederationArtifacts:
-    def test_one_member_per_step(self, store_results):
-        result = store_results[True]
-        federation = FederatedReplayStore.open(result.store_root)
+    def test_one_member_per_step(self, store_result):
+        federation = FederatedReplayStore.open(store_result.store_root)
         assert federation.member_names == ["step-000", "step-001", "step-002"]
-        for k, step in enumerate(result.steps):
+        for k, step in enumerate(store_result.steps):
             member = federation.member(f"step-{k:03d}")
             assert step.replay_store_path == str(member.root)
             assert member.num_samples > 0
 
-    def test_replay_pool_grows_with_seen_classes(self, store_results):
-        federation = FederatedReplayStore.open(store_results[True].store_root)
+    def test_replay_pool_grows_with_seen_classes(self, store_result):
+        federation = FederatedReplayStore.open(store_result.store_root)
         per_step = [
             set(np.unique(federation.member(name).labels))
             for name in federation.member_names
         ]
         assert per_step[0] < per_step[1] < per_step[2]
 
-    def test_federated_audit_crosschecks(self, store_results):
-        federation = FederatedReplayStore.open(store_results[True].store_root)
+    def test_federated_audit_crosschecks(self, store_result):
+        federation = FederatedReplayStore.open(store_result.store_root)
         audit = audit_federation(federation)
         assert audit.num_members == 3
         assert audit.within_budget  # unbudgeted: vacuously true

@@ -8,6 +8,8 @@ the minibatch schedule is unchanged.  Peak resident replay memory is
 bounded by the shard size (asserted via the stream's decode cache).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core import Replay4NCL, ReplaySpec, SpikingLR, run_method
 from repro.core.latent_replay import LatentReplayBuffer
 from repro.hw.memory import audit_store
 from repro.replaystore import ReplayStore, ReplayStream
+from repro.training.trainer import Trainer
 
 
 def _assert_identical(in_memory, store_backed):
@@ -79,6 +82,35 @@ class TestBitwiseParity:
         assert [c.decompressed_cells for c in mem.epoch_costs] == [
             c.decompressed_cells for c in disk.epoch_costs
         ]
+
+
+class TestSingleThreaded:
+    def test_store_backed_step_trains_on_the_calling_thread(
+        self, ci_pretrained, ci_split, ci_preset, tmp_path, monkeypatch
+    ):
+        # Shard decode runs inline in the training loop: no helper thread
+        # may be alive while a store-backed NCL step trains.
+        before = set(threading.enumerate())
+        extra_per_epoch = []
+        fit = Trainer.fit
+
+        def sampling_fit(self, *args, **kwargs):
+            def sample(record):
+                extra_per_epoch.append(
+                    [t.name for t in threading.enumerate() if t not in before]
+                )
+
+            return fit(self, *args, epoch_callback=sample, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", sampling_fit)
+        run_method(
+            Replay4NCL(ci_preset.experiment),
+            ci_pretrained,
+            ci_split,
+            replay=ReplaySpec(store_dir=tmp_path / "store", shard_samples=4),
+        )
+        assert extra_per_epoch
+        assert all(extra == [] for extra in extra_per_epoch), extra_per_epoch
 
 
 class TestStoreArtifacts:

@@ -38,6 +38,29 @@ class TestMeasureRatio:
         )
         assert ratio > 1.5
 
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            measure_ratio(lambda: None, lambda: None, repeats=0)
+
+    def test_runs_are_paired_in_alternation(self):
+        calls = []
+        measure_ratio(
+            lambda: calls.append("slow"), lambda: calls.append("fast"), repeats=3
+        )
+        # One warmup pair, then the timed pairs back to back.
+        assert calls == ["slow", "fast"] * 4
+
+    def test_median_ignores_one_disturbed_pair(self):
+        delays = iter([0.0, 0.0, 0.003, 0.030, 0.003, 0.001, 0.003, 0.001])
+
+        ratio = measure_ratio(
+            lambda: time.sleep(next(delays)), lambda: time.sleep(next(delays)),
+            repeats=3,
+        )
+        # The first timed pair's fast run was slowed 30x; the median of
+        # the three per-pair ratios still reports the undisturbed ~3x.
+        assert ratio > 1.5
+
     def test_wallclock_agrees_with_latency_model_direction(self, monkeypatch):
         """A T=30 forward must be measurably slower than T=10."""
         import numpy as np
@@ -55,7 +78,7 @@ class TestMeasureRatio:
         x30 = (rng.random((30, 4, 24)) < 0.3).astype(np.float32)
         x10 = x30[:10]
         ratio = measure_ratio(
-            lambda: net.forward(x30), lambda: net.forward(x10), repeats=3
+            lambda: net.forward(x30), lambda: net.forward(x10), repeats=21
         )
         net.set_trainable(True)
         assert ratio > 1.5  # direction matches the analytic model

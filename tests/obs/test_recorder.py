@@ -2,7 +2,6 @@
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -206,53 +205,3 @@ class TestNullRecorder:
         assert recorder.metrics() == ()
         assert not recorder.enabled
         assert recorder.clock.now() >= 0.0
-
-
-class TestWorkerThreadSpans:
-    @pytest.fixture
-    def store(self, tmp_path):
-        from repro.replaystore import ReplayStore
-
-        rng = np.random.default_rng(0)
-        store = ReplayStore.create(
-            tmp_path / "store",
-            stored_frames=8,
-            num_channels=12,
-            generated_timesteps=8,
-            shard_samples=4,
-        )
-        store.append(
-            (rng.random((8, 16, 12)) < 0.2).astype(np.float32),
-            rng.integers(0, 4, 16),
-        )
-        return store
-
-    def test_prefetch_decode_spans_root_on_worker_thread(self, store):
-        import time
-
-        from repro.replaystore import PrefetchingStream, ReplayStream
-
-        recorder = Recorder()
-        with use_recorder(recorder):
-            with PrefetchingStream(ReplayStream(store), enabled=True) as view:
-                with obs.span("train.epoch", category="train"):
-                    view.prefetch(np.arange(store.num_samples))
-                    deadline = time.monotonic() + 5.0
-                    while (
-                        view.prefetched_shards == 0
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.005)
-                    view.gather(np.arange(store.num_samples))
-        decodes = [
-            s for s in recorder.spans() if s.name == "prefetch.decode"
-        ]
-        assert decodes, "worker never recorded a decode span"
-        for span in decodes:
-            assert span.thread == "replay-prefetch"
-            # Worker spans root their own per-thread tree; the training
-            # thread's open train.epoch span must NOT become the parent.
-            assert span.parent_id is None
-        metric_names = {e.name for e in recorder.metrics()}
-        assert "prefetch.wait_seconds" in metric_names
-        assert "prefetch.queue_depth" in metric_names

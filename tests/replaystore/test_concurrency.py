@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import StoreError
 from repro.ioutil import FileLock
-from repro.obs import Recorder, use_recorder
 from repro.replaystore import (
     FederatedReplayStore,
     ReplayStore,
@@ -344,39 +343,24 @@ class TestLazyMembers:
         view.close()
 
 
-class TestPrefetchUnderRebalance:
+class TestViewUnderRebalance:
     def test_parity_then_clean_error(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
         dense = fed.stream().materialize()
 
-        recorder = Recorder()
-        with use_recorder(recorder):
-            view = fed.stream(prefetch=True)
-            indices = np.arange(0, dense.shape[1], 3)
-            view.prefetch(indices)
-            # Bogus advice (out of the composed range) is dropped and
-            # counted, never crashes the worker.
-            view.prefetch(np.asarray([-3, dense.shape[1] + 7]))
-            np.testing.assert_array_equal(
-                view.gather(indices), dense[:, indices, :]
-            )
+        view = fed.stream()
+        indices = np.arange(0, dense.shape[1], 3)
+        np.testing.assert_array_equal(view.gather(indices), dense[:, indices, :])
 
-            writer = FederatedReplayStore.open(tmp_path / "fed")
-            writer.configure(
-                budget_bytes=(writer.num_samples // 2) * writer.sample_bytes
-            )
-            assert writer.rebalance() > 0
+        writer = FederatedReplayStore.open(tmp_path / "fed")
+        writer.configure(
+            budget_bytes=(writer.num_samples // 2) * writer.sample_bytes
+        )
+        assert writer.rebalance() > 0
 
-            with pytest.raises(StoreError, match="store was mutated"):
-                view.gather(np.arange(dense.shape[1]))
-            view.close()
-
-        bogus = [
-            metric
-            for metric in recorder.metrics()
-            if metric.name == "prefetch.bogus_advice"
-        ]
-        assert bogus and bogus[0].total == 2
+        with pytest.raises(StoreError, match="store was mutated"):
+            view.gather(np.arange(dense.shape[1]))
+        view.close()
 
     def test_fresh_view_after_rebalance_is_bitwise(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
@@ -388,8 +372,7 @@ class TestPrefetchUnderRebalance:
 
         fresh = FederatedReplayStore.open(tmp_path / "fed")
         dense = fresh.stream().materialize()
-        view = fresh.stream(prefetch=True)
-        view.prefetch(np.arange(dense.shape[1]))
+        view = fresh.stream()
         np.testing.assert_array_equal(
             view.gather(np.arange(dense.shape[1])), dense
         )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.replaystore import ReplayStore
+from repro.replaystore.format import payload_offset
 from repro.replaystore.store import INDEX_NAME, LOCK_NAME
 
 
@@ -113,6 +114,43 @@ class TestValidation:
         store.shards[0].labels[0] += 1
         with pytest.raises(StoreError, match="disagrees"):
             store.read_shard(0)
+
+    @pytest.mark.parametrize("sample,byte", [(0, 0), (3, 7), (7, 4)])
+    def test_flipped_label_byte_on_disk_detected(self, store, sample, byte):
+        shard = store.shards[1]
+        labels_at = payload_offset(shard.num_samples) - 8 * shard.num_samples
+        path = store.root / shard.file
+        blob = bytearray(path.read_bytes())
+        blob[labels_at + 8 * sample + byte] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreError, match=f"first at sample {sample}"):
+            ReplayStore.open(store.root).read_shard(1)
+
+
+    @pytest.mark.parametrize("shard_id", [0, 1, 2])
+    def test_edited_index_label_detected(self, store, shard_id):
+        # The check runs both ways: an index that drifted from intact
+        # shard bytes is as much a disagreement as a corrupted shard.
+        payload = json.loads((store.root / INDEX_NAME).read_text())
+        last = len(payload["shards"][shard_id]["labels"]) - 1
+        payload["shards"][shard_id]["labels"][last] += 100
+        (store.root / INDEX_NAME).write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match=f"shard {shard_id} .*first at sample {last}"):
+            ReplayStore.open(store.root).read_shard(shard_id)
+
+    def test_corrupt_shard_leaves_siblings_readable(self, store, raster, labels):
+        shard = store.shards[1]
+        labels_at = payload_offset(shard.num_samples) - 8 * shard.num_samples
+        path = store.root / shard.file
+        blob = bytearray(path.read_bytes())
+        blob[labels_at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        reopened = ReplayStore.open(store.root)
+        with pytest.raises(StoreError, match="label"):
+            reopened.read_shard(1)
+        decoded, shard_labels = reopened.read_shard(2)
+        np.testing.assert_array_equal(decoded, raster[:, 16:, :])
+        np.testing.assert_array_equal(shard_labels, labels[16:])
 
 
 class TestAccounting:

@@ -2,9 +2,7 @@
 
 Every registered backend is pinned to the numpy reference executor:
 bitwise (``np.array_equal``) for backends declaring ``parity ==
-"bitwise"``, within a tight tolerance otherwise.  The torch executor is
-exercised through a minimal numpy-backed stand-in module so its sweep
-code runs on machines without torch installed.
+"bitwise"``, within a tight tolerance otherwise.
 """
 
 import sys
@@ -20,7 +18,6 @@ from repro.snn.backends import (
     NumpyExecutor,
     SequenceExecutor,
     SweepSpec,
-    TorchExecutor,
     register_backend,
 )
 from repro.snn.backends import base as backends_base
@@ -44,83 +41,6 @@ def _isolated_registry():
 
 
 # ----------------------------------------------------------------------
-# A minimal numpy-backed torch stand-in (just the surface TorchExecutor
-# touches) so the torch sweeps run in environments without torch.
-# ----------------------------------------------------------------------
-
-
-def _unwrap(value):
-    return value.array if isinstance(value, _FakeTensor) else value
-
-
-class _FakeTensor:
-    def __init__(self, array):
-        self.array = np.asarray(array)
-
-    @property
-    def dtype(self):
-        return self.array.dtype
-
-    def numpy(self):
-        return self.array
-
-    def to(self, dtype):
-        return _FakeTensor(self.array.astype(dtype))
-
-    def __getitem__(self, index):
-        return _FakeTensor(self.array[index])
-
-    def __add__(self, other):
-        return _FakeTensor(self.array + _unwrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _FakeTensor(self.array - _unwrap(other))
-
-    def __rsub__(self, other):
-        return _FakeTensor(_unwrap(other) - self.array)
-
-    def __mul__(self, other):
-        return _FakeTensor(self.array * _unwrap(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return _FakeTensor(self.array @ _unwrap(other))
-
-    def __neg__(self):
-        return _FakeTensor(-self.array)
-
-    def __gt__(self, other):
-        return _FakeTensor(self.array > _unwrap(other))
-
-
-class _FakeTorch:
-    __version__ = "0.0-fake"
-
-    @staticmethod
-    def from_numpy(array):
-        return _FakeTensor(array)
-
-    @staticmethod
-    def zeros_like(tensor):
-        return _FakeTensor(np.zeros_like(tensor.array))
-
-    @staticmethod
-    def stack(tensors):
-        return _FakeTensor(np.stack([t.array for t in tensors]))
-
-    @property
-    def T(self):
-        raise AttributeError
-
-
-def _fake_torch_executor() -> TorchExecutor:
-    return TorchExecutor(torch_module=_FakeTorch())
-
-
-# ----------------------------------------------------------------------
 # Parity: every backend pinned to the numpy reference sweeps.
 # ----------------------------------------------------------------------
 
@@ -138,13 +58,9 @@ _SPECS = {
 
 
 def _executors():
-    cases = [pytest.param(_fake_torch_executor(), id="torch-fake")]
-    cases.append(
-        pytest.param(CffiExecutor(), id="c", marks=needs_c)
-        if C_AVAILABLE
-        else pytest.param(None, id="c", marks=needs_c)
-    )
-    return cases
+    return [
+        pytest.param(CffiExecutor() if C_AVAILABLE else None, id="c", marks=needs_c)
+    ]
 
 
 def _assert_parity(executor, got, want):
@@ -160,10 +76,14 @@ class TestSweepParity:
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
     @pytest.mark.parametrize("recurrent", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_lif_sweeps_match_reference(self, executor, spec_name, recurrent, dtype):
+    @pytest.mark.parametrize("steps,batch", [(6, 3), (11, 1)], ids=["T6xB3", "T11xB1"])
+    def test_lif_sweeps_match_reference(
+        self, executor, spec_name, recurrent, dtype, steps, batch
+    ):
         spec = _SPECS[spec_name]
         rng = np.random.default_rng(7)
-        ff = rng.standard_normal((6, 3, 6)).astype(dtype)
+        # Six neurons: the per-neuron threshold spec is sized for it.
+        ff = rng.standard_normal((steps, batch, 6)).astype(dtype)
         w_rec = (
             (rng.standard_normal((6, 6)) * 0.4).astype(dtype) if recurrent else None
         )
@@ -180,9 +100,10 @@ class TestSweepParity:
 
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_readout_sweeps_match_reference(self, executor, dtype):
+    @pytest.mark.parametrize("shape", [(8, 4, 5), (3, 1, 9)], ids=["T8xB4", "T3xB1"])
+    def test_readout_sweeps_match_reference(self, executor, dtype, shape):
         rng = np.random.default_rng(11)
-        projected = rng.standard_normal((8, 4, 5)).astype(dtype)
+        projected = rng.standard_normal(shape).astype(dtype)
         _assert_parity(
             executor,
             executor.readout_forward(projected, 0.8),
@@ -195,17 +116,18 @@ class TestSweepParity:
             numpy_ref.readout_backward_sweep(g, 0.8),
         )
 
-    def test_single_timestep_edge(self):
+    @pytest.mark.parametrize("executor", _executors())
+    @pytest.mark.parametrize(
+        "spec_name", ["lif-hard", "lif-soft", "cuba-hard", "per-neuron-vthr"]
+    )
+    def test_single_timestep_edge(self, executor, spec_name):
         """T=1 exercises the no-carry branches of every sweep."""
-        spec = _SPECS["lif-hard"]
-        ff = np.random.default_rng(3).standard_normal((1, 2, 4)).astype(np.float32)
-        for executor in (
-            [_fake_torch_executor()] + ([CffiExecutor()] if C_AVAILABLE else [])
-        ):
-            m, s = executor.lif_forward(ff, None, spec)
-            want = numpy_ref.lif_forward_sweep(ff, None, spec)
-            _assert_parity(executor, m, want[0])
-            _assert_parity(executor, s, want[1])
+        spec = _SPECS[spec_name]
+        ff = np.random.default_rng(3).standard_normal((1, 2, 6)).astype(np.float32)
+        m, s = executor.lif_forward(ff, None, spec)
+        want = numpy_ref.lif_forward_sweep(ff, None, spec)
+        _assert_parity(executor, m, want[0])
+        _assert_parity(executor, s, want[1])
 
 
 @needs_c
@@ -287,7 +209,7 @@ class _StubExecutor(NumpyExecutor):
 class TestRegistry:
     def test_all_backends_priority_order(self):
         names = [b.name for b in backends.all_backends()]
-        assert names == ["c", "torch", "numpy"]
+        assert names == ["c", "numpy"]
 
     def test_reregistration_latest_wins(self):
         stub = _StubExecutor()
@@ -309,9 +231,10 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="parity"):
             register_backend(BadParity())
 
-    def test_get_backend_unknown_name(self):
+    @pytest.mark.parametrize("name", ["cuda", "torch"])
+    def test_get_backend_unknown_name(self, name):
         with pytest.raises(ConfigError, match="registered backends"):
-            backends.get_backend("cuda")
+            backends.get_backend(name)
 
     def test_numpy_always_available(self):
         assert NumpyExecutor() in type(NumpyExecutor()).__mro__ or True
@@ -329,7 +252,7 @@ class TestSelection:
         first = backends.active()
         assert backends.active() is first
         monkeypatch.setenv("REPRO_BACKEND", "auto")
-        assert backends.active().name in ("c", "numpy", "torch")
+        assert backends.active().name in ("c", "numpy")
 
     def test_unknown_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
@@ -346,7 +269,7 @@ class TestSelection:
     def test_selection_report_shape(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         rows = backends.selection_report()
-        assert {row["name"] for row in rows} == {"numpy", "c", "torch"}
+        assert {row["name"] for row in rows} == {"numpy", "c"}
         assert sum(row["selected"] for row in rows) == 1
         for row in rows:
             assert row["reason"]
@@ -362,7 +285,6 @@ class TestDegradation:
 
     def test_auto_falls_back_to_numpy(self, monkeypatch):
         self._force_unavailable(monkeypatch, "c", "no C compiler (cc / gcc / clang)")
-        self._force_unavailable(monkeypatch, "torch", "torch not importable")
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         assert backends.active().name == "numpy"
 
@@ -412,13 +334,6 @@ class TestDegradation:
         executor.availability()
         executor.availability()
         assert len(calls) == 1
-
-    def test_torch_absent_reports_package(self):
-        executor = TorchExecutor(torch_module=None)
-        executor._probed = True  # simulate a completed failed import probe
-        ok, reason = executor.availability()
-        assert not ok
-        assert "torch" in reason
 
     def test_kernel_access_when_unavailable_raises(self, monkeypatch):
         monkeypatch.setattr(cffi_c, "_find_compiler", lambda: None)

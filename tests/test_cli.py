@@ -38,7 +38,7 @@ class TestCommands:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "REPRO_BACKEND=numpy" in out
-        for name in ("numpy", "c", "torch"):
+        for name in ("numpy", "c"):
             assert name in out
         assert "* numpy" in out  # the selected row is starred
 
@@ -46,16 +46,16 @@ class TestCommands:
         from repro.snn import backends
 
         monkeypatch.setattr(
-            backends.get_backend("torch"),
+            backends.get_backend("c"),
             "availability",
-            lambda: (False, "the torch package is not importable"),
+            lambda: (False, "no C compiler (cc / gcc / clang) on PATH"),
         )
-        monkeypatch.setenv("REPRO_BACKEND", "torch")
+        monkeypatch.setenv("REPRO_BACKEND", "c")
         assert main(["backends"]) == 2
         captured = capsys.readouterr()
         # The table still prints (diagnostic), the error goes to stderr.
         assert "unavailable" in captured.out
-        assert "torch" in captured.err
+        assert "'c'" in captured.err
 
     def test_run_fig12_ci(self, capsys, tmp_path):
         code = main(["run", "fig12", "--scale", "ci", "--save-dir", str(tmp_path),

@@ -132,7 +132,6 @@ class TestEnvFlags:
         assert names == [
             "REPRO_BACKEND",
             "REPRO_FUSED_KERNELS",
-            "REPRO_PREFETCH",
             "REPRO_BENCH_SCALE",
             "REPRO_CACHE",
             "REPRO_TRACE",
@@ -158,8 +157,8 @@ class TestEnvFlags:
         assert env_switch("REPRO_FUSED_KERNELS") is expected
 
     def test_env_switch_defaults_on_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
-        assert env_switch("REPRO_PREFETCH") is True
+        monkeypatch.delenv("REPRO_FUSED_KERNELS", raising=False)
+        assert env_switch("REPRO_FUSED_KERNELS") is True
 
     def test_backend_selection_default_and_validation(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -168,6 +167,12 @@ class TestEnvFlags:
         assert backend_selection() == "c"
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
         with pytest.raises(ConfigError, match="REPRO_BACKEND"):
+            backend_selection()
+
+    @pytest.mark.parametrize("raw", ["torch", "cuda", "numpy,c"])
+    def test_backend_selection_rejects_unregistered(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BACKEND", raw)
+        with pytest.raises(ConfigError, match=r"auto \| numpy \| c, got"):
             backend_selection()
 
     def test_trace_selection_disabled_by_default(self, monkeypatch):
