@@ -2,11 +2,11 @@
 
 from repro.snn import backends
 
-# One row per registered executor: name, parity class, availability and
-# the probe's human-readable reason.
+# One row per registered executor: name, availability and the probe's
+# human-readable reason.
 for row in backends.selection_report():
     marker = "*" if row["selected"] else " "
-    print(f"{marker} {row['name']:6s} {row['parity']:9s} {row['reason']}")
+    print(f"{marker} {row['name']:6s} {row['reason']}")
 
 # Explicit selection raises ConfigError (naming the missing dependency)
 # when the backend is unavailable; numpy never is.

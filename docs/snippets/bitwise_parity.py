@@ -13,10 +13,7 @@ reference_membrane, reference_spikes = lif_forward_sweep(ff, None, spec)
 backend = select_backend("auto")
 membrane, spikes = backend.lif_forward(ff, None, spec)
 
-if backend.parity == "bitwise":
-    # Bitwise backends must match the reference to the last bit.
-    assert np.array_equal(membrane, reference_membrane)
-    assert np.array_equal(spikes, reference_spikes)
-else:
-    np.testing.assert_allclose(membrane, reference_membrane, rtol=1e-6)
-print(f"backend {backend.name!r} ({backend.parity}) matches the reference")
+# Every backend must match the reference to the last bit.
+np.testing.assert_array_equal(membrane, reference_membrane, strict=True)
+np.testing.assert_array_equal(spikes, reference_spikes, strict=True)
+print(f"backend {backend.name!r} matches the reference bitwise")

@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import Replay4NCL, ReplaySpec, make_sequential_splits, run_sequential
+from repro.core import ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data import SyntheticSHD, make_class_incremental
 from repro.eval.scale import get_scale
 from repro.hw.memory import audit_federation
 from repro.replaystore import FederatedReplayStore
+from repro.scenario import get, run_scenario
 
 
 def build_scenario():
@@ -44,22 +45,20 @@ def build_scenario():
     )
     print("pre-training the base network (2 classes)...")
     pretrained = pretrain(exp, base_split)
-    splits = make_sequential_splits(
-        generator,
-        exp.samples_per_class,
-        exp.test_samples_per_class,
-        base_classes=2,
-        steps=3,
+    # Every run below starts from the same pre-trained network.
+    return dict(
+        scenario=get("sequential", steps_count=3, base_classes=2),
+        method="replay4ncl",
+        generator=generator,
+        experiment=exp,
+        pretrained=pretrained.network,
     )
-    return exp, pretrained.network, splits
 
 
-def federated_run(exp, network, splits, workdir: Path):
+def federated_run(stream, workdir: Path):
     print("\n=== act 1: store-federated 3-step stream ===")
-    result = run_sequential(
-        lambda k: Replay4NCL(exp),
-        network,
-        splits,
+    result = run_scenario(
+        **stream,
         replay=ReplaySpec(store_dir=workdir / "federation", shard_samples=4),
     )
     print(result.describe())
@@ -85,15 +84,13 @@ def federated_run(exp, network, splits, workdir: Path):
     return result
 
 
-def budgeted_run(exp, network, splits, workdir: Path, reference):
+def budgeted_run(stream, workdir: Path, reference):
     print("\n=== act 2: the same stream under a global byte budget ===")
     probe = FederatedReplayStore.open(reference.store_root)
     budget = 12 * probe.sample_bytes
     print(f"budget: {budget} B (~12 samples across the whole stream)")
-    result = run_sequential(
-        lambda k: Replay4NCL(exp),
-        network,
-        splits,
+    result = run_scenario(
+        **stream,
         replay=ReplaySpec(
             store_dir=workdir / "budgeted",
             shard_samples=4,
@@ -118,9 +115,9 @@ def budgeted_run(exp, network, splits, workdir: Path, reference):
     print(f"trajectory unchanged by archival budget: {identical}")
 
 
-def dense_parity(exp, network, splits, reference):
+def dense_parity(stream, reference):
     print("\n=== act 3: dense in-memory replay vs the store, bit-identical ===")
-    result = run_sequential(lambda k: Replay4NCL(exp), network, splits)
+    result = run_scenario(**stream)
     identical = all(
         np.array_equal(p.data, q.data)
         for a, b in zip(reference.steps, result.steps)
@@ -130,12 +127,12 @@ def dense_parity(exp, network, splits, reference):
 
 
 def main() -> None:
-    exp, network, splits = build_scenario()
+    stream = build_scenario()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        reference = federated_run(exp, network, splits, workdir)
-        budgeted_run(exp, network, splits, workdir, reference)
-        dense_parity(exp, network, splits, reference)
+        reference = federated_run(stream, workdir)
+        budgeted_run(stream, workdir, reference)
+        dense_parity(stream, reference)
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.eval.experiments import run_scenario
+    from repro.scenario import run_scenario
 
     if args.scenario_command == "list":
         _print_registries()
@@ -307,6 +307,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         extra["resume"] = args.resume
     if args.stop_after is not None:
         extra["max_steps"] = args.stop_after
+    if scenario == "single-step":
+        # The paper's scenario is exactly the figures' split: reuse their
+        # disk-cached pre-training instead of training again.
+        from repro.eval import experiments
+
+        extra["pretrained"] = experiments.context(args.scale).pretrained
     result = run_scenario(
         scenario, args.method, scale=args.scale, replay=replay, **extra
     )
@@ -330,10 +336,7 @@ def _cmd_backends() -> int:
     for row in rows:
         marker = "*" if row["selected"] else " "
         status = "available" if row["available"] else "unavailable"
-        print(
-            f"{marker} {row['name']:{name_w}s}  {row['parity']:9s} "
-            f"{status:11s}  {row['reason']}"
-        )
+        print(f"{marker} {row['name']:{name_w}s}  {status:11s}  {row['reason']}")
     print("(* = selected; set REPRO_BACKEND=numpy|c|auto to override)")
     if not any(row["selected"] for row in rows):
         print(

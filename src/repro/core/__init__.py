@@ -30,12 +30,6 @@ from repro.core.raw_replay import RawInputReplay
 from repro.core.registry import available_methods, get_method, register_method
 from repro.core.replay4ncl import Replay4NCL
 from repro.core.replayspec import ReplaySpec
-from repro.core.sequential import (
-    SequentialResult,
-    iter_sequential_splits,
-    make_sequential_splits,
-    run_sequential,
-)
 from repro.core.spikinglr import SpikingLR
 from repro.core.strategies import EpochCost, NCLMethod, NCLResult, NaiveFinetune
 
@@ -49,10 +43,6 @@ __all__ = [
     "SpikingLR",
     "Replay4NCL",
     "ReplaySpec",
-    "SequentialResult",
-    "iter_sequential_splits",
-    "make_sequential_splits",
-    "run_sequential",
     "pretrain",
     "run_method",
     "register_method",

@@ -181,7 +181,7 @@ class NCLMethod:
         if replay.has_federation_options:
             raise ConfigError(
                 "federation options only apply to multi-step runs "
-                "(run_sequential / run_scenario); a single NCL run has "
+                "(repro.scenario.run_scenario); a single NCL run has "
                 "no federation to configure"
             )
         config = self.config

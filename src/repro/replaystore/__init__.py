@@ -8,9 +8,8 @@ and multi-store federation for long task sequences under one global
 budget (``federation``).
 ``LatentReplayBuffer.to_store()`` and the run entry points with a
 store-backed spec — ``NCLMethod.run(...,
-replay=ReplaySpec(store_dir=...))``, ``run_sequential`` /
-``run_scenario`` likewise — are the high-level faces; ``repro store``
-is the CLI one.
+replay=ReplaySpec(store_dir=...))`` and ``repro.scenario.run_scenario``
+likewise — are the high-level faces; ``repro store`` is the CLI one.
 """
 
 from repro.replaystore.builder import SAMPLE_HEADER_BYTES, StreamingStoreBuilder

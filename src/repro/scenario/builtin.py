@@ -6,8 +6,8 @@ changes* between steps; each built-in maps one onto the shared
 
 - ``single-step`` — the paper's 19+1 class-incremental evaluation: one
   step, one new class set.
-- ``sequential`` — a stream of class-incremental steps (wraps
-  :func:`~repro.core.sequential.iter_sequential_splits`).
+- ``sequential`` — a stream of class-incremental steps, each replaying
+  every class seen so far (:func:`iter_sequential_splits`).
 - ``task-incremental`` — the same class stream, but every step carries
   its task membership (:attr:`ContinualStep.task_classes`), so
   evaluation runs with the task id known and the readout masked to the
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.config import ExperimentConfig
-from repro.core.sequential import iter_sequential_splits
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import ClassIncrementalSplit, make_class_incremental
 from repro.errors import ConfigError, DataError
@@ -131,14 +130,71 @@ def _default_base_classes(
     return base
 
 
+def iter_sequential_splits(
+    generator: SyntheticSHD,
+    samples_per_class: int,
+    test_samples_per_class: int,
+    base_classes: int,
+    steps: int,
+    classes_per_step: int = 1,
+) -> Iterator[ClassIncrementalSplit]:
+    """Lazily yield one :class:`ClassIncrementalSplit` per continual step.
+
+    Step k's "old" pool holds the base classes plus everything learned
+    in steps ``< k`` (so replay regeneration covers all seen classes);
+    its "new" set holds the next ``classes_per_step`` class ids.
+
+    Step k's datasets materialise only when the iterator reaches it
+    (:meth:`~repro.data.synthetic_shd.SyntheticSHD.generate_dataset`
+    derives every sample from ``(seed, class, sample)`` alone, so lazy
+    and eager construction are bitwise-identical) — long streams never
+    hold all their data at once.  Parameters are validated before the
+    first split is built.
+    """
+    num_classes = generator.config.num_classes
+    needed = base_classes + steps * classes_per_step
+    if base_classes <= 0 or steps <= 0 or classes_per_step <= 0:
+        raise DataError("base_classes, steps and classes_per_step must be positive")
+    if needed > num_classes:
+        raise DataError(
+            f"scenario needs {needed} classes but the generator has {num_classes}"
+        )
+    for k in range(steps):
+        seen = list(range(base_classes + k * classes_per_step))
+        new = list(
+            range(
+                base_classes + k * classes_per_step,
+                base_classes + (k + 1) * classes_per_step,
+            )
+        )
+        yield ClassIncrementalSplit(
+            pretrain_train=generator.generate_dataset(
+                samples_per_class, split="train", classes=seen
+            ),
+            pretrain_test=generator.generate_dataset(
+                test_samples_per_class, split="test", classes=seen
+            ),
+            new_train=generator.generate_dataset(
+                samples_per_class, split="train", classes=new
+            ),
+            new_test=generator.generate_dataset(
+                test_samples_per_class, split="test", classes=new
+            ),
+            old_classes=tuple(seen),
+            new_classes=tuple(new),
+        )
+
+
 @dataclass(frozen=True)
 class SequentialScenario:
     """A stream of class-incremental steps (the multi-step stress test).
 
-    Wraps :func:`~repro.core.sequential.make_sequential_splits`: step k
-    adds ``classes_per_step`` new classes, and its replay pool covers
-    everything seen so far.  ``base_classes`` defaults to every class
-    not consumed by the stream.
+    Built on :func:`iter_sequential_splits`: step k adds
+    ``classes_per_step`` new classes, and its replay pool covers
+    everything seen so far — including classes learned continually in
+    earlier steps, whose latent data is regenerated through the frozen
+    front.  ``base_classes`` defaults to every class not consumed by
+    the stream.
     """
 
     steps_count: int = 2

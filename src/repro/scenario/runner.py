@@ -34,14 +34,10 @@ from repro.config import ExperimentConfig
 from repro.core.pipeline import PretrainResult, pretrain
 from repro.core.registry import get_method
 from repro.core.replayspec import ReplaySpec, resolve_replay_spec
-from repro.core.sequential import (
-    SequentialResult,
-    create_federation,
-    run_chained_step,
-)
 from repro.core.strategies import NCLMethod, NCLResult
 from repro.data.datasets import SpikeDataset
 from repro.data.synthetic_shd import SyntheticSHD
+from repro.data.tasks import ClassIncrementalSplit
 from repro.errors import ConfigError, DataError
 from repro.scenario.base import ContinualStep, Scenario
 from repro.scenario.checkpoint import (
@@ -64,7 +60,7 @@ __all__ = ["ScenarioResult", "run_scenario"]
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Outcome of a full scenario run; generalizes `SequentialResult`.
+    """Outcome of a full scenario run.
 
     Attributes:
         scenario: The scenario's registry name.
@@ -128,7 +124,7 @@ class ScenarioResult:
         """Mean (final - just-learned) accuracy over non-final tasks."""
         return backward_transfer(self.accuracy_matrix)
 
-    # -- SequentialResult-compatible views -----------------------------
+    # -- per-step views -------------------------------------------------
     @property
     def final_network(self) -> SpikingNetwork:
         """Network state after the last step (raises when not retained)."""
@@ -146,10 +142,6 @@ class ScenarioResult:
     def new_accuracy_trajectory(self) -> tuple[float, ...]:
         """New-task accuracy after each step (plasticity trajectory)."""
         return tuple(step.final_new_accuracy for step in self.steps)
-
-    def as_sequential(self) -> SequentialResult:
-        """The plain multi-step view (drops the matrix and metrics)."""
-        return SequentialResult(steps=self.steps, store_root=self.store_root)
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the run."""
@@ -235,6 +227,62 @@ def _step_masks(
     return [class_mask(group, num_classes) for group in step.task_classes]
 
 
+def create_federation(replay: ReplaySpec | None):
+    """Open the per-step store federation of a store-backed spec.
+
+    Returns ``None`` for dense specs.  ``replay.overwrite`` replaces an
+    existing federation (the re-run switch); without it an existing root
+    raises :class:`~repro.errors.StoreError`.
+    """
+    if replay is None or not replay.store_backed:
+        return None
+    from repro.replaystore.federation import FederatedReplayStore
+
+    return FederatedReplayStore.create(
+        Path(replay.store_dir),
+        budget_bytes=replay.federation_budget_bytes,
+        policy=replay.federation_policy,
+        seed=replay.federation_seed,
+        overwrite=replay.overwrite,
+    )
+
+
+def run_chained_step(
+    method: NCLMethod,
+    network: SpikingNetwork,
+    split: ClassIncrementalSplit,
+    *,
+    index: int,
+    replay: ReplaySpec | None,
+    federation,
+) -> NCLResult:
+    """Run one step of a chained scenario and validate its result.
+
+    The single authority for per-step federation plumbing: member
+    ``step-<index>`` is written under the federation root, adopted, and
+    the federation rebalanced *after* the step trained.  The step
+    trains through a lazy shard stream, so its peak resident replay
+    memory is bounded by the stream's two-shard decode cache
+    (``2 * replay.shard_samples`` dense samples) however long the task
+    stream grows, and its trajectory is bitwise the dense one.
+    ``replay.federation_budget_bytes`` caps the archive across *all*
+    members (losers are evicted through ``replay.federation_policy``,
+    seeded by ``replay.federation_seed``), never the current step's
+    replay set.
+    """
+    if federation is not None:
+        member = f"step-{index:03d}"
+        result = method.run(network, split, replay=replay.member(member))
+        if result.replay_store_path is not None:
+            federation.adopt(member)
+            federation.rebalance()
+    else:
+        result = method.run(network, split)
+    if result.network is None:
+        raise DataError("method did not return its trained network")
+    return result
+
+
 def _reopen_federation(replay: ReplaySpec, recorded: dict | None):
     """Open the federation of a resumed store-backed run and verify it.
 
@@ -310,9 +358,9 @@ def run_scenario(
         replay: A :class:`~repro.core.replayspec.ReplaySpec` (or bare
             path, promoted to one).  Store-backed runs persist each
             step's latent data as federation member ``step-<k>`` under
-            ``replay.store_dir`` — identical plumbing (and
-            bitwise-identical trajectories) to
-            :func:`~repro.core.sequential.run_sequential`.
+            ``replay.store_dir`` and train through a lazy shard stream,
+            bitwise-identical to the dense run at the same seed (see
+            :func:`run_chained_step`).
         checkpoint: Checkpoint directory (or a ready
             :class:`~repro.scenario.checkpoint.ScenarioCheckpoint`).
             When given, the run commits its state after pre-training

@@ -16,11 +16,10 @@ forward and reverse) and registers itself by name, mirroring tinygrad's
   no backend reimplements it.  A backend only executes the per-timestep
   recurrence (elementwise state updates plus, for recurrent layers, the
   per-step recurrent projection).
-- A backend declares its :attr:`~SequenceExecutor.parity` class —
-  ``"bitwise"`` executors must replicate the reference association order
-  documented in :mod:`repro.snn.kernels` exactly; ``"tolerance"``
-  executors are pinned to the reference within a numeric
-  tolerance by the parity suite.
+- Every backend is bitwise: it must replicate the reference
+  association order documented in :mod:`repro.snn.kernels` exactly, and
+  the parity suite pins it to the numpy trajectories with
+  ``np.testing.assert_array_equal``.
 - Availability is probed lazily and reported with a human-readable
   reason; probing must never raise.
 - Selection is per-process via the ``REPRO_BACKEND`` environment flag
@@ -81,7 +80,7 @@ class SweepSpec:
 class SequenceExecutor(ABC):
     """One executor of the fused sequence sweeps (the backend contract).
 
-    Subclasses set :attr:`name`, :attr:`parity` and :attr:`priority`,
+    Subclasses set :attr:`name` and :attr:`priority`,
     implement :meth:`availability` plus the four sweeps, and register an
     instance with :func:`register_backend`.  All array arguments and
     results are numpy ``[T, B, N]`` stacks; executors that compute on
@@ -90,9 +89,6 @@ class SequenceExecutor(ABC):
 
     #: Registry name (the value ``REPRO_BACKEND`` selects).
     name: str = "abstract"
-    #: ``"bitwise"`` — must replicate the reference association order
-    #: exactly; ``"tolerance"`` — pinned within a numeric tolerance.
-    parity: str = "bitwise"
     #: Auto-selection rank; lower is preferred (faster).
     priority: int = 100
 
@@ -164,11 +160,6 @@ def register_backend(executor: SequenceExecutor) -> SequenceExecutor:
     """
     if not executor.name or executor.name == "abstract":
         raise ConfigError("backend executors must set a concrete `name`")
-    if executor.parity not in ("bitwise", "tolerance"):
-        raise ConfigError(
-            f"backend {executor.name!r} declares unknown parity "
-            f"{executor.parity!r}; expected 'bitwise' or 'tolerance'"
-        )
     _REGISTRY[executor.name] = executor
     _invalidate_active()
     return executor
@@ -258,9 +249,8 @@ def active() -> SequenceExecutor:
 def selection_report() -> list[dict[str, str | bool]]:
     """Availability/selection table behind ``repro backends``.
 
-    One row per registered executor: name, declared parity class,
-    availability, the probe's reason string, and whether the current
-    selection resolves to it.  Diagnostic by design: an unsatisfiable
+    One row per registered executor: name, availability, the probe's
+    reason string, and whether the current selection resolves to it.  Diagnostic by design: an unsatisfiable
     explicit selection marks no row selected instead of raising, so the
     table still prints when the user is debugging exactly that.
     """
@@ -274,7 +264,6 @@ def selection_report() -> list[dict[str, str | bool]]:
         rows.append(
             {
                 "name": backend.name,
-                "parity": backend.parity,
                 "available": ok,
                 "reason": reason,
                 "selected": backend is selected,

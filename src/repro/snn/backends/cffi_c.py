@@ -5,8 +5,8 @@ chain of small elementwise ufunc calls; this backend runs that chain in
 compiled C.  The C kernels replicate the reference association order
 documented in :mod:`repro.snn.backends.numpy_ref` **exactly** and are
 compiled with ``-fno-fast-math -ffp-contract=off`` so the compiler can
-neither reassociate nor fuse multiplies and adds — the backend declares
-(and the parity suite enforces) *bitwise* parity with numpy.
+neither reassociate nor fuse multiplies and adds — the parity suite
+enforces *bitwise* parity with numpy.
 
 GEMMs never move to C: BLAS accumulation order is the bitwise anchor
 and is not reproducible by a naive loop (measured, not assumed — see
@@ -276,7 +276,6 @@ class CffiExecutor(SequenceExecutor):
     """Compiled-C executor (module docstring has the full story)."""
 
     name = "c"
-    parity = "bitwise"
     priority = 10
 
     def __init__(self):

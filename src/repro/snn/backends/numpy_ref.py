@@ -5,9 +5,8 @@ recurrence runs the same elementwise operations in the same order as
 ``T`` applications of :func:`repro.snn.neurons.lif_step` /
 :func:`~repro.snn.neurons.cuba_lif_step`, and the reverse sweep is the
 hand-derived BPTT documented in :mod:`repro.snn.kernels`.  Every other
-backend is pinned to these trajectories by the parity suite
-(``tests/snn/test_backends.py``) — bitwise for backends that declare
-``parity = "bitwise"``, tolerance-gated otherwise.
+backend is pinned to these trajectories bitwise by the parity suite
+(``tests/snn/test_backends.py``).
 
 **Bitwise discipline.**  Fused and per-step paths must produce the
 *same training trajectories*, not just close ones: spiking networks are
@@ -172,7 +171,6 @@ class NumpyExecutor(SequenceExecutor):
     """The always-available reference executor (raw numpy)."""
 
     name = "numpy"
-    parity = "bitwise"
     priority = 30
 
     def availability(self) -> tuple[bool, str]:

@@ -137,6 +137,10 @@ class RecurrentLIFLayer:
             raise ShapeError(
                 f"w_ff shape {state['w_ff'].shape} != {self.w_ff.data.shape}"
             )
+        if self.w_rec is not None and state["w_rec"].shape != self.w_rec.data.shape:
+            raise ShapeError(
+                f"w_rec shape {state['w_rec'].shape} != {self.w_rec.data.shape}"
+            )
         self.w_ff.data = state["w_ff"].copy()
         if self.w_rec is not None:
             self.w_rec.data = state["w_rec"].copy()

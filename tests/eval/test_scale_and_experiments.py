@@ -1,10 +1,14 @@
 """Tests for scale presets and the experiment registry."""
 
+import numpy as np
 import pytest
 
+from repro.core.pipeline import PretrainResult
 from repro.errors import ConfigError
 from repro.eval import experiments, get_scale
 from repro.eval.scale import SCALES
+from repro.snn.network import SpikingNetwork
+from repro.training.metrics import TrainingHistory
 
 
 class TestScalePresets:
@@ -66,6 +70,65 @@ class TestExperimentRegistry:
         assert len(ctx2.pretrained.history) == 0
         experiments._CONTEXTS.clear()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated",
+            "empty-file",
+            "not-an-archive",
+            "key-without-slash",
+            "missing-accuracy",
+            "missing-layer",
+            "wrong-ff-shape",
+            "wrong-rec-shape",
+        ],
+    )
+    def test_damaged_pretrain_cache_is_a_miss(self, damage, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setattr(experiments, "_CONTEXTS", {})
+        preset = get_scale("ci")
+        path = tmp_path / f"pretrain-{experiments._config_digest(preset)}.npz"
+        network = SpikingNetwork(preset.experiment.network, seed=preset.experiment.seed)
+        flat = {
+            f"{layer}/{param}": value
+            for layer, params in network.state_dict().items()
+            for param, value in params.items()
+        }
+        if damage == "truncated":
+            experiments._store_pretrained(
+                preset,
+                PretrainResult(
+                    network=network,
+                    history=TrainingHistory(),
+                    test_accuracy=0.5,
+                    epoch_traces=[],
+                ),
+            )
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "empty-file":
+            path.write_bytes(b"")
+        elif damage == "not-an-archive":
+            path.write_bytes(b"not a zip archive\n" * 8)
+        elif damage == "key-without-slash":
+            np.savez(path, weights=np.zeros(3), __test_accuracy__=np.asarray(0.5))
+        elif damage == "missing-accuracy":
+            np.savez(path, **flat)
+        else:
+            if damage == "missing-layer":
+                del flat["readout/w_ff"]
+            elif damage == "wrong-ff-shape":
+                flat["hidden0/w_ff"] = flat["hidden0/w_ff"][:, :-1]
+            else:
+                flat["hidden0/w_rec"] = flat["hidden0/w_rec"][:-1, :-1]
+            np.savez(path, **flat, __test_accuracy__=np.asarray(0.5))
+        assert experiments._load_pretrained(preset, None) is None
+        # The miss re-pretrains and atomically overwrites the entry, which
+        # then loads as a clean hit.
+        ctx = experiments.context("ci")
+        assert len(ctx.pretrained.history) > 0
+        reloaded = experiments._load_pretrained(preset, None)
+        assert reloaded.test_accuracy == ctx.pretrained.test_accuracy
+
 
 class TestFigureRuns:
     """End-to-end runs at ci scale for the cheap figures."""
@@ -86,137 +149,3 @@ class TestFigureRuns:
         for key in ("latency_speedup", "memory_saving", "energy_saving"):
             assert key in result.scalars
         assert result.scalars["latency_speedup"] > 1.0
-
-
-class TestScenarioRunCache:
-    """Scenario-level result caching in experiments.run_scenario."""
-
-    @pytest.fixture(autouse=True)
-    def isolated_caches(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
-        monkeypatch.setattr(experiments, "_SCENARIO_RUNS", {})
-
-    @pytest.fixture
-    def counting(self, monkeypatch):
-        """Count pass-throughs to the real scenario runner."""
-        from repro import scenario as scenario_pkg
-
-        calls = []
-        real = scenario_pkg.run_scenario
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
-
-        # experiments.run_scenario resolves the scenario package at call
-        # time, so patching the package attribute intercepts every run.
-        monkeypatch.setattr(scenario_pkg, "run_scenario", spy)
-        return calls
-
-    def test_repeat_call_is_a_cache_hit(self, counting):
-        first = experiments.run_scenario("single-step", "naive", scale="ci")
-        second = experiments.run_scenario("single-step", "naive", scale="ci")
-        assert second is first
-        assert len(counting) == 1
-
-    def test_key_components_invalidate(self, counting):
-        experiments.run_scenario("single-step", "naive", scale="ci")
-        # A different method re-runs instead of serving the cached result.
-        other = experiments.run_scenario("single-step", "replay4ncl", scale="ci")
-        assert len(counting) == 2
-        assert other.method == "replay4ncl"
-        # ... and a different replay spec re-runs too (distinct artefact).
-        from repro.core import ReplaySpec
-
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as root:
-            stored = experiments.run_scenario(
-                "single-step",
-                "naive",
-                scale="ci",
-                replay=ReplaySpec(store_dir=f"{root}/fed", shard_samples=4),
-            )
-            assert len(counting) == 3
-            assert stored.store_root is not None
-            # Same spec again: hit.
-            again = experiments.run_scenario(
-                "single-step",
-                "naive",
-                scale="ci",
-                replay=ReplaySpec(store_dir=f"{root}/fed", shard_samples=4),
-            )
-            assert again is stored
-            assert len(counting) == 3
-
-    def test_overrides_bypass_the_cache(self, counting):
-        preset = get_scale("ci")
-        experiments.run_scenario(
-            "single-step", "naive", scale="ci",
-            experiment=preset.experiment,
-        )
-        experiments.run_scenario(
-            "single-step", "naive", scale="ci",
-            experiment=preset.experiment,
-        )
-        # Both calls ran: explicit overrides are never cached.
-        assert len(counting) == 2
-        assert experiments._SCENARIO_RUNS == {}
-
-    def test_scenario_instances_bypass_the_cache(self, counting):
-        from repro.scenario import get as get_scenario
-
-        instance = get_scenario("single-step")
-        experiments.run_scenario(instance, "naive", scale="ci")
-        assert experiments._SCENARIO_RUNS == {}
-        assert len(counting) == 1
-
-    def test_reregistration_invalidates(self, counting):
-        # `register` explicitly replaces; a cached run of the old
-        # implementation must not be served for the new one.
-        from repro.scenario import register
-        from repro.scenario.builtin import SingleStepScenario
-
-        experiments.run_scenario("single-step", "naive", scale="ci")
-        assert len(counting) == 1
-
-        class Variant(SingleStepScenario):
-            pass
-
-        register("single-step", Variant)
-        try:
-            experiments.run_scenario("single-step", "naive", scale="ci")
-            assert len(counting) == 2
-        finally:
-            register("single-step", SingleStepScenario)
-
-    def test_deleted_store_is_not_served_from_cache(self, counting, tmp_path):
-        import shutil
-
-        from repro.core import ReplaySpec
-
-        root = tmp_path / "fed"
-        spec = ReplaySpec(store_dir=root, shard_samples=4)
-        stored = experiments.run_scenario(
-            "single-step", "naive", scale="ci", replay=spec
-        )
-        assert stored.store_root is not None
-        shutil.rmtree(root)
-        again = experiments.run_scenario(
-            "single-step", "naive", scale="ci", replay=spec
-        )
-        # Re-ran (rebuilding the federation) instead of serving a result
-        # whose store_root no longer existed.
-        assert len(counting) == 2
-        assert (root / "federation.json").exists()
-        assert again is not stored
-
-    def test_overwrite_specs_never_cache(self, counting, tmp_path):
-        from repro.core import ReplaySpec
-
-        spec = ReplaySpec(
-            store_dir=tmp_path / "fed", shard_samples=4, overwrite=True
-        )
-        experiments.run_scenario("single-step", "naive", scale="ci", replay=spec)
-        experiments.run_scenario("single-step", "naive", scale="ci", replay=spec)
-        assert len(counting) == 2  # an explicit rebuild request every time

@@ -18,7 +18,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.sequential import iter_sequential_splits
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import ClassIncrementalSplit
 from repro.data.transforms import drift_dataset
@@ -35,6 +34,7 @@ from repro.scenario import (
     with_label_noise,
     with_task_masks,
 )
+from repro.scenario.builtin import iter_sequential_splits
 from repro.seeding import spawn
 
 DENSE_T = 8

@@ -113,12 +113,61 @@ class TestSequential:
         steps = SequentialScenario(steps_count=2).steps(generator, experiment)
         assert iter(steps) is steps  # a generator, not a list
 
-    def test_layout_matches_make_sequential_splits(self, context):
+    @pytest.mark.parametrize(
+        "params,layout",
+        [
+            (
+                dict(steps_count=2),
+                [((0, 1, 2), (3,)), ((0, 1, 2, 3), (4,))],
+            ),
+            (
+                dict(steps_count=2, base_classes=3),
+                [((0, 1, 2), (3,)), ((0, 1, 2, 3), (4,))],
+            ),
+            (
+                dict(steps_count=2, base_classes=1, classes_per_step=2),
+                [((0,), (1, 2)), ((0, 1, 2), (3, 4))],
+            ),
+            (
+                dict(steps_count=3, base_classes=2),
+                [((0, 1), (2,)), ((0, 1, 2), (3,)), ((0, 1, 2, 3), (4,))],
+            ),
+        ],
+        ids=["default-base", "explicit-base", "multi-class", "three-steps"],
+    )
+    def test_step_class_layout(self, context, params, layout):
+        # Step k replays every class seen so far and adds the next
+        # classes_per_step ids; the data of each pool matches its classes.
         generator, experiment = context
-        steps = list(SequentialScenario(steps_count=2).steps(generator, experiment))
-        assert [s.split.new_classes for s in steps] == [(3,), (4,)]
-        assert steps[1].split.old_classes == (0, 1, 2, 3)
-        assert steps[0].index == 0 and steps[1].index == 1
+        steps = list(get("sequential", **params).steps(generator, experiment))
+        assert [(s.split.old_classes, s.split.new_classes) for s in steps] == layout
+        assert [s.index for s in steps] == list(range(len(layout)))
+        for step, (old, new) in zip(steps, layout):
+            assert set(step.split.pretrain_train.labels.tolist()) == set(old)
+            assert set(step.split.new_test.labels.tolist()) == set(new)
+        sizes = [len(s.split.pretrain_train) for s in steps]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+    def test_step_data_materialises_on_demand(self, context, monkeypatch):
+        # No dataset is built before the iterator reaches a step, and step
+        # 0 never asks the generator for the class step 1 introduces.
+        generator, experiment = context
+        requested: list[set[int]] = []
+        generate = generator.generate_dataset
+
+        def recording(*args, classes=None, **kwargs):
+            requested.append(set(classes))
+            return generate(*args, classes=classes, **kwargs)
+
+        monkeypatch.setattr(generator, "generate_dataset", recording)
+        steps = get("sequential", steps_count=2, base_classes=3).steps(
+            generator, experiment
+        )
+        assert requested == []
+        next(steps)
+        assert requested and 4 not in set().union(*requested)
+        next(steps)
+        assert 4 in set().union(*requested)
 
     def test_default_base_uses_all_remaining_classes(self, context):
         generator, experiment = context
@@ -130,10 +179,20 @@ class TestSequential:
         assert steps[0].split.old_classes == (0, 1, 2)
         assert steps[0].split.new_classes == (3, 4)
 
-    def test_too_many_steps(self, context):
+    @pytest.mark.parametrize(
+        "params,match",
+        [
+            (dict(steps_count=9), "need more classes"),
+            (dict(steps_count=2, base_classes=4), "needs 6 classes"),
+            (dict(steps_count=1, base_classes=0), "must be positive"),
+            (dict(steps_count=1, base_classes=3, classes_per_step=0), "must be positive"),
+        ],
+        ids=["too-many-steps", "one-class-short", "no-base", "empty-steps"],
+    )
+    def test_invalid_layout(self, context, params, match):
         generator, experiment = context
-        with pytest.raises(DataError):
-            next(SequentialScenario(steps_count=9).steps(generator, experiment))
+        with pytest.raises(DataError, match=match):
+            next(SequentialScenario(**params).steps(generator, experiment))
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):

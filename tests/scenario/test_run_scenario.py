@@ -13,6 +13,7 @@ from repro.core import ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
 from repro.errors import ConfigError, DataError
+from repro.eval import experiments
 from repro.eval.scale import get_scale
 from repro.replaystore import FederatedReplayStore
 from repro.scenario import (
@@ -153,11 +154,8 @@ class TestAllScenariosEndToEnd:
         assert dense.pretrain_accuracy == expected
 
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_sequential_result_views(self, runs, name):
+    def test_result_views(self, runs, name):
         dense, _, _ = runs[name]
-        seq = dense.as_sequential()
-        assert seq.steps == dense.steps
-        assert seq.old_accuracy_trajectory == dense.old_accuracy_trajectory
         assert dense.final_network is dense.steps[-1].network
         text = dense.describe()
         assert name in text and "forgetting" in text
@@ -232,10 +230,13 @@ class TestRunScenarioAPI:
         assert 0.0 <= result.pretrain_accuracy <= 1.0
 
 
-class TestExperimentsWiring:
-    def test_eval_run_scenario_reuses_context(self, monkeypatch, tmp_path):
+class TestCliWiring:
+    def test_single_step_reuses_cached_pretraining(self, monkeypatch, tmp_path, capsys):
+        # `repro scenario run single-step` is the paper's split: it must
+        # reuse the figures' disk-cached pre-training, not train again.
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
-        from repro.eval import experiments
+        monkeypatch.setattr(experiments, "_CONTEXTS", {})
+        from repro.cli import main
         from repro.scenario import runner
 
         experiments.context("ci")  # warm the shared pre-training
@@ -244,34 +245,30 @@ class TestExperimentsWiring:
             raise AssertionError("pre-training must be reused, not re-run")
 
         monkeypatch.setattr(runner, "pretrain", no_pretrain)
-        result = experiments.run_scenario("single-step", "naive", scale="ci")
-        assert result.scenario == "single-step"
-        assert len(result.steps) == 1
+        assert main(["scenario", "run", "single-step", "--scale", "ci"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario 'single-step'" in out and "1 step(s)" in out
 
-    def test_eval_run_scenario_skips_cache_on_override(
-        self, env, monkeypatch, tmp_path
+    def test_other_scenarios_pretrain_on_their_own_base(
+        self, monkeypatch, tmp_path, capsys
     ):
-        # A caller-supplied experiment changes the base split; the
-        # cached network must NOT be injected silently — a fresh
-        # pre-training run happens instead.
+        # Any other scenario has a different base split: the cached
+        # network must NOT be injected — a fresh pre-training runs.
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
-        from repro.eval import experiments
+        monkeypatch.setattr(experiments, "_CONTEXTS", {})
+        from repro.cli import main
         from repro.scenario import runner
 
-        _, experiment = env
-        custom = experiment.replace(num_pretrain_classes=3)
         calls = []
         real_pretrain = runner.pretrain
 
-        def counting_pretrain(*args, **kwargs):
-            calls.append(args)
-            return real_pretrain(*args, **kwargs)
+        def counting_pretrain(experiment, split):
+            calls.append(split.old_classes)
+            return real_pretrain(experiment, split)
 
         monkeypatch.setattr(runner, "pretrain", counting_pretrain)
-        result = experiments.run_scenario(
-            "single-step", "naive", scale="ci", experiment=custom
-        )
-        assert len(calls) == 1
-        # The scenario really used the overridden 3-class base.
-        assert len(result.steps[0].history) > 0
-        assert result.accuracy_matrix.shape == (2, 2)
+        args = ["scenario", "run", "sequential", "--scale", "ci", "--steps", "1"]
+        assert main(args) == 0
+        assert calls == [(0, 1, 2, 3)]
+        assert experiments._CONTEXTS == {}
+        assert "scenario 'sequential'" in capsys.readouterr().out

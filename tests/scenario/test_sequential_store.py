@@ -1,7 +1,8 @@
 """Store-federated sequential runs: the long-task-sequence harness.
 
-Scenario-level acceptance tests for `run_sequential(..., replay=ReplaySpec(...))`:
-a 3-step class-incremental stream whose replay memory lives in a
+Scenario-level acceptance tests for
+`run_scenario("sequential", ..., replay=ReplaySpec(...))`: a 3-step
+class-incremental stream whose replay memory lives in a
 per-step federation of on-disk stores must
 
 - reproduce the dense in-memory trajectory **bitwise** at the same seed;
@@ -15,60 +16,52 @@ per-step federation of on-disk stores must
 import numpy as np
 import pytest
 
-from repro.core import (
-    Replay4NCL,
-    ReplaySpec,
-    make_sequential_splits,
-    run_sequential,
-)
+from repro.core import ReplaySpec
 from repro.core.pipeline import pretrain
 from repro.data.synthetic_shd import SyntheticSHD
+from repro.data.tasks import make_class_incremental
+from repro.errors import StoreError
 from repro.eval.scale import get_scale
 from repro.hw.memory import audit_federation, latent_memory_bytes
 from repro.replaystore import FederatedReplayStore
+from repro.scenario import get, run_scenario
+from repro.scenario.runner import create_federation
 
 SHARD_SAMPLES = 4
 CACHE_SHARDS = 2  # ReplayStream default in the store-backed NCL path
 
 
 @pytest.fixture(scope="module")
-def scenario():
+def stream():
+    """Keyword arguments of the 3-step stream from one shared pre-training."""
     preset = get_scale("ci")
     generator = SyntheticSHD(preset.shd, seed=preset.experiment.seed)
     # ci has 5 classes: pre-train on 2, learn classes 2, 3, 4 in three steps.
     exp = preset.experiment.replace(num_pretrain_classes=2)
-    from repro.data.tasks import make_class_incremental
-
     base_split = make_class_incremental(
         generator,
         exp.samples_per_class,
         exp.test_samples_per_class,
         num_pretrain_classes=2,
     )
-    pretrained = pretrain(exp, base_split)
-    splits = make_sequential_splits(
-        generator,
-        exp.samples_per_class,
-        exp.test_samples_per_class,
-        base_classes=2,
-        steps=3,
+    return dict(
+        scenario=get("sequential", steps_count=3, base_classes=2),
+        method="replay4ncl",
+        generator=generator,
+        experiment=exp,
+        pretrained=pretrain(exp, base_split).network,
     )
-    return exp, pretrained, splits
 
 
 @pytest.fixture(scope="module")
-def dense_result(scenario):
-    exp, pretrained, splits = scenario
-    return run_sequential(lambda k: Replay4NCL(exp), pretrained.network, splits)
+def dense_result(stream):
+    return run_scenario(**stream)
 
 
 @pytest.fixture(scope="module")
-def store_result(scenario, tmp_path_factory):
-    exp, pretrained, splits = scenario
-    return run_sequential(
-        lambda k: Replay4NCL(exp),
-        pretrained.network,
-        splits,
+def store_result(stream, tmp_path_factory):
+    return run_scenario(
+        **stream,
         replay=ReplaySpec(
             store_dir=tmp_path_factory.mktemp("seq-fed"),
             shard_samples=SHARD_SAMPLES,
@@ -166,25 +159,34 @@ class TestFederationArtifacts:
         assert all(s.replay_store_path is None for s in dense_result.steps)
 
 
-class TestRerun:
-    def test_existing_root_refused_without_overwrite(self, scenario, tmp_path):
-        exp, pretrained, splits = scenario
-        from repro.errors import StoreError
+class TestCreateFederation:
+    def test_dense_specs_open_none(self):
+        assert create_federation(None) is None
+        assert create_federation(ReplaySpec()) is None
 
+    def test_store_spec_opens_an_empty_federation(self, tmp_path):
+        federation = create_federation(
+            ReplaySpec(store_dir=tmp_path / "fed", federation_budget_bytes=1 << 20)
+        )
+        assert isinstance(federation, FederatedReplayStore)
+        assert federation.member_names == []
+        assert federation.budget_bytes == 1 << 20
+        assert (tmp_path / "fed").is_dir()
+
+
+class TestRerun:
+    def test_existing_root_refused_without_overwrite(self, stream, tmp_path):
+        one_step = {
+            **stream, "scenario": get("sequential", steps_count=1, base_classes=2)
+        }
         spec = ReplaySpec(
             store_dir=tmp_path / "fed", shard_samples=SHARD_SAMPLES
         )
-        first = run_sequential(
-            lambda k: Replay4NCL(exp), pretrained.network, splits[:1], replay=spec
-        )
+        first = run_scenario(**one_step, replay=spec)
         with pytest.raises(StoreError, match="already exists"):
-            run_sequential(
-                lambda k: Replay4NCL(exp), pretrained.network, splits[:1], replay=spec
-            )
-        rerun = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits[:1],
+            run_scenario(**one_step, replay=spec)
+        rerun = run_scenario(
+            **one_step,
             replay=ReplaySpec(
                 store_dir=tmp_path / "fed",
                 shard_samples=SHARD_SAMPLES,
@@ -197,25 +199,20 @@ class TestRerun:
 
 
 class TestGlobalBudget:
-    def test_budget_holds_across_the_stream(self, scenario, tmp_path):
-        exp, pretrained, splits = scenario
+    def test_budget_holds_across_the_stream(self, stream, tmp_path):
         # Tight budget: roughly one step's worth of replay for a
         # three-step stream, so rebalancing must evict across members.
         probe = FederatedReplayStore.open
-        result = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits,
+        result = run_scenario(
+            **stream,
             replay=ReplaySpec(
                 store_dir=tmp_path / "budgeted", shard_samples=SHARD_SAMPLES
             ),
         )
         unbudgeted = probe(result.store_root).num_samples
         budget = 10 * probe(result.store_root).sample_bytes
-        budgeted = run_sequential(
-            lambda k: Replay4NCL(exp),
-            pretrained.network,
-            splits,
+        budgeted = run_scenario(
+            **stream,
             replay=ReplaySpec(
                 store_dir=tmp_path / "budgeted-tight",
                 shard_samples=SHARD_SAMPLES,

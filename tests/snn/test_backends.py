@@ -1,8 +1,7 @@
 """Parity, selection and degradation tests for the kernel backends.
 
-Every registered backend is pinned to the numpy reference executor:
-bitwise (``np.array_equal``) for backends declaring ``parity ==
-"bitwise"``, within a tight tolerance otherwise.
+Every registered backend is pinned to the numpy reference executor
+bitwise: same shape, same dtype, same bits.
 """
 
 import sys
@@ -63,14 +62,6 @@ def _executors():
     ]
 
 
-def _assert_parity(executor, got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    if executor.parity == "bitwise":
-        assert np.array_equal(got, want), "bitwise parity violated"
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
-
-
 class TestSweepParity:
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("spec_name", sorted(_SPECS))
@@ -89,14 +80,14 @@ class TestSweepParity:
         )
         want_m, want_s = numpy_ref.lif_forward_sweep(ff, w_rec, spec)
         got_m, got_s = executor.lif_forward(ff, w_rec, spec)
-        _assert_parity(executor, got_m, want_m)
-        _assert_parity(executor, got_s, want_s)
+        np.testing.assert_array_equal(got_m, want_m, strict=True)
+        np.testing.assert_array_equal(got_s, want_s, strict=True)
 
         g = rng.standard_normal(ff.shape).astype(dtype)
         surrogate = rng.random(ff.shape).astype(dtype)
         want_g = numpy_ref.lif_reverse_sweep(g, surrogate, want_m, want_s, w_rec, spec)
         got_g = executor.lif_backward(g, surrogate, got_m, got_s, w_rec, spec)
-        _assert_parity(executor, got_g, want_g)
+        np.testing.assert_array_equal(got_g, want_g, strict=True)
 
     @pytest.mark.parametrize("executor", _executors())
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -104,16 +95,16 @@ class TestSweepParity:
     def test_readout_sweeps_match_reference(self, executor, dtype, shape):
         rng = np.random.default_rng(11)
         projected = rng.standard_normal(shape).astype(dtype)
-        _assert_parity(
-            executor,
+        np.testing.assert_array_equal(
             executor.readout_forward(projected, 0.8),
             numpy_ref.readout_forward_sweep(projected, 0.8),
+            strict=True,
         )
         g = rng.standard_normal(projected.shape).astype(dtype)
-        _assert_parity(
-            executor,
+        np.testing.assert_array_equal(
             executor.readout_backward(g, 0.8),
             numpy_ref.readout_backward_sweep(g, 0.8),
+            strict=True,
         )
 
     @pytest.mark.parametrize("executor", _executors())
@@ -126,8 +117,8 @@ class TestSweepParity:
         ff = np.random.default_rng(3).standard_normal((1, 2, 6)).astype(np.float32)
         m, s = executor.lif_forward(ff, None, spec)
         want = numpy_ref.lif_forward_sweep(ff, None, spec)
-        _assert_parity(executor, m, want[0])
-        _assert_parity(executor, s, want[1])
+        np.testing.assert_array_equal(m, want[0], strict=True)
+        np.testing.assert_array_equal(s, want[1], strict=True)
 
 
 @needs_c
@@ -223,14 +214,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="concrete"):
             register_backend(Nameless())
 
-    def test_register_rejects_unknown_parity(self):
-        class BadParity(NumpyExecutor):
-            name = "bad"
-            parity = "vibes"
-
-        with pytest.raises(ConfigError, match="parity"):
-            register_backend(BadParity())
-
     @pytest.mark.parametrize("name", ["cuda", "torch"])
     def test_get_backend_unknown_name(self, name):
         with pytest.raises(ConfigError, match="registered backends"):
@@ -272,8 +255,8 @@ class TestSelection:
         assert {row["name"] for row in rows} == {"numpy", "c"}
         assert sum(row["selected"] for row in rows) == 1
         for row in rows:
+            assert set(row) == {"name", "available", "reason", "selected"}
             assert row["reason"]
-            assert row["parity"] in ("bitwise", "tolerance")
 
 
 class TestDegradation:

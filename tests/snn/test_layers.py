@@ -88,6 +88,16 @@ class TestRecurrentLIFLayer:
         with pytest.raises(ShapeError):
             a.load_state_dict(b.state_dict())
 
+    def test_recurrent_shape_mismatch_raises_before_loading(self):
+        a = make_layer(rng=np.random.default_rng(1))
+        b = make_layer(rng=np.random.default_rng(2))
+        state = b.state_dict()
+        state["w_rec"] = state["w_rec"][:3, :3]
+        before = a.w_ff.data.copy()
+        with pytest.raises(ShapeError, match="w_rec"):
+            a.load_state_dict(state)
+        np.testing.assert_array_equal(a.w_ff.data, before)
+
     def test_state_dict_is_copy(self):
         layer = make_layer()
         state = layer.state_dict()
