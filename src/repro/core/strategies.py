@@ -15,6 +15,7 @@ actual simulated activity, not assumptions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,30 @@ class NCLMethod:
         """Whether the method maintains a replay buffer at all."""
         return True
 
+    def deployed_predict(
+        self,
+        network: SpikingNetwork,
+        inputs: np.ndarray,
+        start_layer: int = 0,
+        class_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Class predictions under the method's deployment semantics.
+
+        The deployment rule of Alg. 1: the frozen front keeps its static
+        pre-trained threshold; adaptive thresholds apply from the
+        insertion layer up.  ``inputs`` are raw rasters for
+        ``start_layer=0`` or the frozen front's output
+        (:meth:`SpikingNetwork.activations_at`) for
+        ``start_layer=insertion_layer()`` — both give the same bits.
+        """
+        return network.predict(
+            inputs,
+            start_layer=start_layer,
+            controller=self.make_controller(),
+            controller_from_layer=self.insertion_layer(),
+            class_mask=class_mask,
+        )
+
     # -- protocol -------------------------------------------------------
     def run(
         self,
@@ -174,6 +199,12 @@ class NCLMethod:
         memory stays bounded by the stream's decode cache: two decoded
         shards, i.e. ``2 * spec.shard_samples`` dense samples (measured
         into ``NCLResult.replay_peak_resident_bytes``).
+
+        Per-epoch evaluation follows the same latent-replay idea: the
+        frozen front runs once per phase per test set, and each epoch
+        predicts each test set once, running only the learning layers
+        (:meth:`deployed_predict` with ``start_layer=insertion``).  The
+        overall accuracy reuses that epoch's old and new predictions.
         """
         replay = resolve_replay_spec(replay)
         if replay is None:
@@ -294,30 +325,25 @@ class NCLMethod:
             controller=controller,
         )
 
-        old_test = split.pretrain_test.to_dense(timesteps)
-        new_test = split.new_test.to_dense(timesteps)
-        old_labels = split.pretrain_test.labels
-        new_test_labels = split.new_test.labels
+        # The frozen front never changes during the phase, so its output
+        # on each test set is computed once; every epoch's evaluation
+        # runs only the learning layers on it.
+        tests = {"old": split.pretrain_test, "new": split.new_test}
+        fronts = {
+            task: network.activations_at(insertion, dataset.to_dense(timesteps))
+            for task, dataset in tests.items()
+        }
 
-        def predict(inputs: np.ndarray) -> np.ndarray:
-            # Deployment semantics of Alg. 1: the frozen front keeps
-            # its static pre-trained threshold; adaptive thresholds
-            # apply to the learning layers only.
-            return network.predict(
-                inputs,
-                controller=self.make_controller(),
-                controller_from_layer=insertion,
-            )
+        @functools.lru_cache(maxsize=2)
+        def predict(task: str, epoch: int) -> np.ndarray:
+            # ``epoch`` only keys the cache (weights change per epoch), so
+            # the overall accuracy reuses this epoch's old and new ones.
+            return self.deployed_predict(network, fronts[task], start_layer=insertion)
 
-        def eval_old() -> float:
-            return top1_accuracy(predict(old_test), old_labels)
-
-        def eval_new() -> float:
-            return top1_accuracy(predict(new_test), new_test_labels)
-
-        def eval_overall() -> float:
-            preds = np.concatenate([predict(old_test), predict(new_test)])
-            labels = np.concatenate([old_labels, new_test_labels])
+        def accuracy(*tasks: str) -> float:
+            epoch = len(trainer.epoch_traces)
+            preds = np.concatenate([predict(task, epoch) for task in tasks])
+            labels = np.concatenate([tests[task].labels for task in tasks])
             return top1_accuracy(preds, labels)
 
         with obs.span(
@@ -330,9 +356,9 @@ class NCLMethod:
                 train_inputs,
                 train_labels,
                 evaluators={
-                    "old_task_accuracy": eval_old,
-                    "new_task_accuracy": eval_new,
-                    "overall_accuracy": eval_overall,
+                    "old_task_accuracy": lambda: accuracy("old"),
+                    "new_task_accuracy": lambda: accuracy("new"),
+                    "overall_accuracy": lambda: accuracy("old", "new"),
                 },
             )
         peak_resident = 0

@@ -180,17 +180,16 @@ def _task_accuracy(
 ) -> float:
     """Top-1 on one task's test set under the method's deployment semantics.
 
-    Matches the evaluators inside :meth:`NCLMethod.run`: the frozen
-    front keeps its static pre-trained threshold; adaptive thresholds
-    apply from the insertion layer up.  ``mask`` restricts the readout
-    to the active task's classes (task-incremental inference); ``None``
+    Shares :meth:`NCLMethod.deployed_predict` with the per-epoch
+    evaluators of :meth:`NCLMethod.run`, so both apply one deployment
+    rule.  Unlike those evaluators it runs the whole network on the raw
+    test rasters: it is called once per task per step, so there is no
+    frozen-front output to reuse.  ``mask`` restricts the readout to the
+    active task's classes (task-incremental inference); ``None``
     evaluates over the full label space.
     """
-    predictions = network.predict(
-        dataset.to_dense(timesteps),
-        controller=method.make_controller(),
-        controller_from_layer=method.insertion_layer(),
-        class_mask=mask,
+    predictions = method.deployed_predict(
+        network, dataset.to_dense(timesteps), class_mask=mask
     )
     return top1_accuracy(predictions, dataset.labels)
 

@@ -7,7 +7,10 @@ activations when an NCL method trains a split network.
 
 Per-epoch evaluator callables let the caller attach task accuracies
 (old/new) that land in the :class:`TrainingHistory` — this is how the
-figure experiments collect their accuracy-vs-epoch curves.
+figure experiments collect their accuracy-vs-epoch curves.  The NCL
+evaluators (:meth:`repro.core.strategies.NCLMethod.run`) run the frozen
+front once per phase per test set, so each epoch's evaluation runs only
+the learning layers.
 """
 
 from __future__ import annotations

@@ -104,8 +104,10 @@ class TestFullTree:
                 seen.append(span.name)
             return seen
 
+        # The readout kernel runs in every NCL training step; the LIF
+        # kernels of the frozen front do not run inside epochs at all.
         kernel = next(
-            s for s in report.spans if s.name == "kernel.lif_forward"
+            s for s in report.spans if s.name == "kernel.readout_forward"
             and "train.epoch" in ancestors(s)
         )
         chain = ancestors(kernel)
