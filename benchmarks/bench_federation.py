@@ -1,6 +1,6 @@
 """Federated replay maintenance: the between-steps rebalance pass.
 
-``test_federated_rebalance`` times the budget-eviction pass (policy
+``test_federated_rebalance`` times the budget-eviction pass (admission
 sweep + cross-member shard rewrite) over a three-member federation sized
 by ``REPRO_BENCH_SCALE`` like the other storage benches.
 """
@@ -57,7 +57,7 @@ def federation(tmp_path_factory):
 # Between-steps maintenance: budgeted cross-member eviction
 # ----------------------------------------------------------------------
 def test_federated_rebalance(benchmark, federation, tmp_path):
-    """Budget-eviction pass between steps: policy sweep + member rewrite."""
+    """Budget-eviction pass between steps: admission sweep + member rewrite."""
     source = federation
 
     def rebalance():

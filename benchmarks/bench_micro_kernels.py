@@ -292,38 +292,3 @@ def test_checkpoint_roundtrip(benchmark, network, tmp_path):
 
     state = benchmark(roundtrip)
     assert state.steps_completed == len(results)
-
-
-def test_federation_roundtrip(benchmark, rng, tmp_path):
-    """Federated replay epoch: shuffled minibatch gathers routed across
-    member stores with cold per-round caches — the long-task-sequence
-    replay path's steady-state cost (member routing + shard decode)."""
-    from repro.replaystore import FederatedReplayStore, ReplayStore
-
-    t_long, _, batch = _sizes()
-    samples_per_member = 4 * batch
-    fed = FederatedReplayStore.create(tmp_path / "fed", seed=0)
-    for k in range(3):
-        store = ReplayStore.create(
-            tmp_path / "fed" / f"task-{k}",
-            stored_frames=t_long,
-            num_channels=64,
-            generated_timesteps=t_long,
-            shard_samples=batch,
-        )
-        store.append(
-            (rng.random((t_long, samples_per_member, 64)) < 0.1).astype(
-                np.float32
-            ),
-            rng.integers(0, 10, samples_per_member),
-        )
-        fed.adopt(f"task-{k}")
-    total = fed.num_samples
-    batches = [rng.integers(0, total, batch) for _ in range(8)]
-
-    def epoch():
-        view = fed.stream(cache_shards=2)
-        for indices in batches:
-            view.gather(indices)
-
-    benchmark(epoch)

@@ -95,7 +95,6 @@ def budgeted_run(stream, workdir: Path, reference):
             store_dir=workdir / "budgeted",
             shard_samples=4,
             federation_budget_bytes=budget,
-            federation_policy="class-balanced",
         ),
     )
     federation = FederatedReplayStore.open(result.store_root)

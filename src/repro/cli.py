@@ -187,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: none; on an existing federation, updates its budget)",
     )
     federate.add_argument(
-        "--policy", default=None,
-        help="eviction policy for rebalancing (fifo | reservoir | "
-        "class-balanced; default class-balanced; on an existing "
-        "federation, updates its policy)",
-    )
-    federate.add_argument(
         "--seed", type=int, default=None,
         help="RNG seed of the rebalance passes (default 0; on an "
         "existing federation, updates its seed)",
@@ -389,21 +383,12 @@ def _cmd_store_federate(args: argparse.Namespace) -> int:
     if (root / FEDERATION_INDEX_NAME).exists():
         federation = FederatedReplayStore.open(root)
         # Explicit flags retrofit the stored ledger; omitted ones keep it.
-        if (
-            args.budget_bytes is not None
-            or args.policy is not None
-            or args.seed is not None
-        ):
-            federation.configure(
-                budget_bytes=args.budget_bytes,
-                policy=args.policy,
-                seed=args.seed,
-            )
+        if args.budget_bytes is not None or args.seed is not None:
+            federation.configure(budget_bytes=args.budget_bytes, seed=args.seed)
     else:
         federation = FederatedReplayStore.create(
             root,
             budget_bytes=args.budget_bytes,
-            policy=args.policy or "class-balanced",
             seed=args.seed if args.seed is not None else 0,
         )
     if args.members is not None:

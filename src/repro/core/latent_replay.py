@@ -27,13 +27,12 @@ from repro.compression.bitpack import BitpackCodec
 from repro.compression.subsample import TemporalSubsampleCodec
 from repro.data.datasets import SpikeDataset
 from repro.errors import CodecError, ConfigError
-from repro.replaystore.builder import SAMPLE_HEADER_BYTES
+from repro.replaystore.format import SAMPLE_HEADER_BYTES
 from repro.snn.network import SpikingNetwork
 from repro.snn.threshold import ThresholdController
 
 __all__ = [
     "LatentReplayBuffer",
-    "HEADER_BYTES_PER_SAMPLE",
     "frozen_front_trace",
 ]
 
@@ -107,12 +106,6 @@ def frozen_front_trace(
     """
     trace, _ = _frozen_front_pass(network, insertion_layer, inputs, controller)
     return trace
-
-#: Bytes of per-sample metadata (label id, sample length) charged by the
-#: storage model on top of the packed payload.  Shared with the
-#: replay-store budget accounting (the single authority lives in
-#: :mod:`repro.replaystore.builder`).
-HEADER_BYTES_PER_SAMPLE = SAMPLE_HEADER_BYTES
 
 
 @dataclass
@@ -336,7 +329,7 @@ class LatentReplayBuffer:
         the fixed headers are amortised over fewer frames.
         """
         payload = BitpackCodec().packed_bytes(self.compressed.shape)
-        return payload + HEADER_BYTES_PER_SAMPLE * self.num_samples
+        return payload + SAMPLE_HEADER_BYTES * self.num_samples
 
     # ------------------------------------------------------------------
     # Persistence (repro.replaystore)
@@ -352,7 +345,8 @@ class LatentReplayBuffer:
         The dense raster is chunked into shards of ``shard_samples``
         columns (``replaystore`` default when None), each encoded with
         the smaller of the bitpack/address-event codecs for its density.
-        The returned store round-trips exactly: see :meth:`from_store`.
+        Shard codecs are lossless, so the store replays this buffer
+        bit for bit.
         """
         from repro.replaystore.store import DEFAULT_SHARD_SAMPLES, ReplayStore
 
@@ -368,31 +362,6 @@ class LatentReplayBuffer:
         )
         store.append(self.compressed, self.labels)
         return store
-
-    @classmethod
-    def from_store(cls, root) -> "LatentReplayBuffer":
-        """Rebuild the dense buffer from a store.
-
-        The exact inverse of :meth:`to_store` — shard codecs are
-        lossless.
-        """
-        from repro.replaystore.store import ReplayStore
-
-        store = root if isinstance(root, ReplayStore) else ReplayStore.open(root)
-        if store.num_samples == 0:
-            raise ConfigError(f"store at {store.root} holds no samples")
-        rasters, labels = [], []
-        for shard_id in range(store.num_shards):
-            raster, shard_labels = store.read_shard(shard_id)
-            rasters.append(raster)
-            labels.append(shard_labels)
-        return cls(
-            compressed=np.concatenate(rasters, axis=1),
-            labels=np.concatenate(labels),
-            insertion_layer=store.meta.insertion_layer,
-            generated_timesteps=store.meta.generated_timesteps,
-            codec=TemporalSubsampleCodec(store.meta.codec_factor),
-        )
 
     # ------------------------------------------------------------------
     # Replay
@@ -420,54 +389,4 @@ class LatentReplayBuffer:
             return 0
         return int(
             self.generated_timesteps * self.num_samples * self.num_channels
-        )
-
-    # ------------------------------------------------------------------
-    # Budgeting
-    # ------------------------------------------------------------------
-    def fit_budget(
-        self, max_bytes: int, rng: np.random.Generator
-    ) -> "LatentReplayBuffer":
-        """Return a copy whose storage fits ``max_bytes``.
-
-        Embedded deployments cap latent memory; this drops whole samples
-        — class-stratified, so every old class keeps at least one
-        exemplar — until the bit-packed payload plus headers fits.
-        Raises :class:`ConfigError` when even one sample per class
-        exceeds the budget.
-        """
-        if max_bytes <= 0:
-            raise ConfigError(f"max_bytes must be positive, got {max_bytes}")
-        if self.storage_bytes() <= max_bytes:
-            return self
-
-        bytes_per_sample = (
-            BitpackCodec().packed_bytes((self.stored_frames, 1, self.num_channels))
-            + HEADER_BYTES_PER_SAMPLE
-        )
-        keep_total = max_bytes // bytes_per_sample
-        classes = sorted(set(self.labels.tolist()))
-        if keep_total < len(classes):
-            raise ConfigError(
-                f"budget of {max_bytes} B cannot hold one sample per class "
-                f"({len(classes)} classes x {bytes_per_sample} B)"
-            )
-
-        # Round-robin over classes so the kept set stays balanced.
-        per_class = {
-            c: rng.permutation(np.flatnonzero(self.labels == c)).tolist()
-            for c in classes
-        }
-        chosen: list[int] = []
-        while len(chosen) < keep_total and any(per_class.values()):
-            for c in classes:
-                if per_class[c] and len(chosen) < keep_total:
-                    chosen.append(per_class[c].pop())
-        chosen.sort()
-        return LatentReplayBuffer(
-            compressed=self.compressed[:, chosen, :].copy(),
-            labels=self.labels[chosen].copy(),
-            insertion_layer=self.insertion_layer,
-            generated_timesteps=self.generated_timesteps,
-            codec=self.codec,
         )

@@ -44,10 +44,8 @@ class ReplaySpec:
         refusing to clobber it (the re-run switch).
     federation_budget_bytes:
         Optional global byte budget enforced across all steps' member
-        stores by cross-member eviction (multi-step runs only).
-    federation_policy:
-        Eviction policy of the federation rebalance passes
-        (``fifo`` | ``reservoir`` | ``class-balanced``).
+        stores by class-balanced cross-member eviction (multi-step runs
+        only).
     federation_seed:
         RNG seed of the rebalance passes.
     """
@@ -56,7 +54,6 @@ class ReplaySpec:
     shard_samples: int | None = None
     overwrite: bool = False
     federation_budget_bytes: int | None = None
-    federation_policy: str = "class-balanced"
     federation_seed: int = 0
 
     def __post_init__(self):
@@ -74,16 +71,6 @@ class ReplaySpec:
                 "federation_budget_bytes must be positive, got "
                 f"{self.federation_budget_bytes}"
             )
-        # Fail at construction on a misspelled policy, not steps later
-        # when the first rebalance runs.
-        from repro.replaystore.policies import get_policy
-
-        try:
-            get_policy(self.federation_policy)
-        except Exception as error:
-            raise ConfigError(
-                f"unknown federation_policy {self.federation_policy!r}"
-            ) from error
         if self.store_dir is None:
             stray = [
                 name
@@ -95,8 +82,6 @@ class ReplaySpec:
             ]
             if self.overwrite:
                 stray.append("overwrite")
-            if self.federation_policy != "class-balanced":
-                stray.append("federation_policy")
             if self.federation_seed != 0:
                 stray.append("federation_seed")
             if stray:
@@ -115,7 +100,6 @@ class ReplaySpec:
         """Whether any multi-step federation field departs from default."""
         return (
             self.federation_budget_bytes is not None
-            or self.federation_policy != "class-balanced"
             or self.federation_seed != 0
         )
 

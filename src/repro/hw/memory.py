@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compression.bitpack import BitpackCodec
-from repro.core.latent_replay import HEADER_BYTES_PER_SAMPLE, LatentReplayBuffer
+from repro.core.latent_replay import LatentReplayBuffer
 from repro.errors import ConfigError
+from repro.replaystore.format import SAMPLE_HEADER_BYTES
 
 __all__ = [
     "latent_memory_bytes",
@@ -29,7 +30,7 @@ def latent_memory_bytes(
     stored_frames: int,
     num_samples: int,
     num_channels: int,
-    header_bytes: int = HEADER_BYTES_PER_SAMPLE,
+    header_bytes: int = SAMPLE_HEADER_BYTES,
 ) -> int:
     """Bytes to store a latent buffer of the given geometry."""
     if stored_frames <= 0 or num_samples <= 0 or num_channels <= 0:
@@ -69,7 +70,7 @@ class StoreAudit:
         return self.disk_bytes - self.payload_bytes
 
 
-def audit_store(store, header_bytes: int = HEADER_BYTES_PER_SAMPLE) -> StoreAudit:
+def audit_store(store, header_bytes: int = SAMPLE_HEADER_BYTES) -> StoreAudit:
     """Cross-check the analytic latent-memory model against a real store.
 
     This is the accounting bridge the ``repro store stats`` CLI and the
@@ -101,10 +102,9 @@ class FederationAudit:
     Aggregates the per-member :class:`StoreAudit` rows and adds the
     federation's own budget ledger: ``budget_model_bytes`` is the
     per-sample budget model (the quantity the federation's
-    ``budget_bytes`` caps — same model the streaming builder budgets
-    with), while ``modelled_bytes`` sums the members' Fig. 12 bitmap
-    models.  Empty members (fully evicted by rebalancing) contribute
-    zero and carry no audit row.
+    ``budget_bytes`` caps, packed per sample), while ``modelled_bytes``
+    sums the members' Fig. 12 bitmap models.  Empty members (fully
+    evicted by rebalancing) contribute zero and carry no audit row.
     """
 
     member_audits: dict[str, StoreAudit]
@@ -131,7 +131,7 @@ class FederationAudit:
         return self.budget_model_bytes <= self.budget_bytes
 
 
-def audit_federation(federation, header_bytes: int = HEADER_BYTES_PER_SAMPLE):
+def audit_federation(federation, header_bytes: int = SAMPLE_HEADER_BYTES):
     """Cross-check the latent-memory model against a whole federation.
 
     The federated twin of :func:`audit_store`: every non-empty member
@@ -164,7 +164,7 @@ def audit_federation(federation, header_bytes: int = HEADER_BYTES_PER_SAMPLE):
 class LatentMemoryModel:
     """Comparative latent-memory accounting across methods/layers."""
 
-    header_bytes: int = HEADER_BYTES_PER_SAMPLE
+    header_bytes: int = SAMPLE_HEADER_BYTES
 
     def audit_store(self, store) -> StoreAudit:
         """Model-vs-disk audit of a replay store (see :func:`audit_store`)."""

@@ -1,22 +1,23 @@
 """Federation of per-task replay stores under one global byte budget.
 
 A long task stream persists one :class:`~repro.replaystore.store.ReplayStore`
-per continual step.  The federation composes those member stores into a
-single class-balanced replay view and owns the *global* memory
-invariant: the modelled bytes of all members together never exceed
-``budget_bytes``.  When a new member pushes the total over budget,
-:meth:`FederatedReplayStore.rebalance` re-admits every stored sample —
-in global arrival order — through one of the existing
-:mod:`~repro.replaystore.policies` and rewrites each member to hold only
-its survivors (:meth:`~repro.replaystore.store.ReplayStore.filter`), so
-eviction pressure flows *across* stores: a class-balanced policy will
-evict over-represented classes from old members to make room for a new
-task's samples.
+per continual step.  The federation is the write-side archive of those
+member stores: it owns the *global* memory invariant — the modelled
+bytes of all members together never exceed ``budget_bytes``.  When a new
+member pushes the total over budget, :meth:`FederatedReplayStore.rebalance`
+re-admits every stored sample — in global arrival order — through
+class-balanced admission (:func:`class_balanced_admit`) and rewrites
+each member to hold only its survivors
+(:meth:`~repro.replaystore.store.ReplayStore.filter`), so eviction
+pressure flows *across* stores: over-represented classes are evicted
+from old members to make room for a new task's samples.  Training never
+reads the federation as a whole; each step replays its own member
+through a :class:`~repro.replaystore.stream.ReplayStream`.
 
 On disk a federation is a directory of member stores plus one index::
 
     root/
-      federation.json     # budget, policy, seed, member order
+      federation.json     # budget, admission rule, seed, member order
       step-000/           # ordinary ReplayStore directories
         index.json
         shard-00000.bin
@@ -25,12 +26,12 @@ On disk a federation is a directory of member stores plus one index::
 
 Member stores stay fully self-describing — ``repro store stats
 root/step-000`` keeps working — the federation only adds the budget
-ledger and the composed view on top.
+ledger on top.
 
-Byte accounting uses the same per-sample model as the
-:class:`~repro.replaystore.builder.StreamingStoreBuilder` (bit-packed
-payload + :data:`~repro.replaystore.builder.SAMPLE_HEADER_BYTES`), so a
-federation budget and a builder budget mean the same thing.
+Byte accounting uses the Fig. 12 per-sample storage model (bit-packed
+payload + :data:`~repro.replaystore.format.SAMPLE_HEADER_BYTES`), so a
+federation budget and ``LatentReplayBuffer.storage_bytes`` mean the
+same thing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,19 +50,24 @@ from repro import obs
 from repro.compression.bitpack import BitpackCodec
 from repro.errors import StoreError
 from repro.ioutil import FileLock, atomic_write_json
-from repro.replaystore.builder import SAMPLE_HEADER_BYTES
-from repro.replaystore.policies import get_policy
-from repro.replaystore.store import INDEX_NAME, ReplayStore
-from repro.replaystore.stream import ReplayStream
+from repro.replaystore.format import SAMPLE_HEADER_BYTES
+from repro.replaystore.store import (
+    INDEX_NAME,
+    ReplayStore,
+    index_int,
+    is_int,
+    malformed_index,
+)
 from repro.seeding import spawn
 
 __all__ = [
     "FEDERATION_INDEX_NAME",
     "FEDERATION_LOCK_NAME",
-    "DEFAULT_OPEN_MEMBERS",
+    "MAX_OPEN_MEMBERS",
+    "ADMISSION_RULE",
     "FederationStats",
     "FederatedReplayStore",
-    "FederatedReplayStream",
+    "class_balanced_admit",
 ]
 
 FEDERATION_INDEX_NAME = "federation.json"
@@ -70,11 +76,101 @@ FEDERATION_INDEX_NAME = "federation.json"
 FEDERATION_LOCK_NAME = "federation.json.lock"
 FEDERATION_VERSION = 1
 
-#: Default cap on simultaneously open member handles/streams.  Member
-#: indexes are small, but a long task stream has one member per step —
-#: opening them all eagerly is exactly what the lazy path exists to
-#: avoid.
-DEFAULT_OPEN_MEMBERS = 8
+#: Cap on cached member handles.  Member indexes are small, but a long
+#: task stream has one member per step — the LRU keeps a sweep over a
+#: thousand members from holding a thousand parsed indexes at once.
+MAX_OPEN_MEMBERS = 8
+
+#: The store meta fields every member must agree on (the index's
+#: ``geometry`` ledger).
+_GEOMETRY_KEYS = (
+    "stored_frames",
+    "num_channels",
+    "codec_factor",
+    "insertion_layer",
+    "generated_timesteps",
+)
+
+#: The admission rule of every rebalance, recorded in the index as
+#: ``policy``.  An index naming any other rule is refused on open rather
+#: than silently rebalanced under a different one.
+ADMISSION_RULE = "class-balanced"
+
+
+def class_balanced_admit(
+    labels: Sequence[int], capacity: int, rng: np.random.Generator
+) -> list[int]:
+    """Stream ``labels`` through class-balanced admission at ``capacity``.
+
+    Returns the positions (into ``labels``) of the kept samples in slot
+    order.  Arrivals fill free slots first; once full, a sample whose
+    class is not the largest evicts a random member of the largest class
+    (smallest label id on ties), and a sample of an already-largest
+    class falls back to per-class reservoir sampling, so every class
+    stays a uniform sample of its own arrivals.  This preserves the
+    paper's class-stratified replay guarantee under streaming arrivals.
+    Deterministic given ``rng``: at most one draw per arrival.
+    """
+    if capacity < 1:
+        raise StoreError(f"admission capacity must be >= 1, got {capacity}")
+    kept: list[int] = []
+    kept_labels: list[int] = []
+    counts: dict[int, int] = {}
+    seen: dict[int, int] = {}
+    for position, label in enumerate(labels):
+        label = int(label)
+        seen[label] = seen.get(label, 0) + 1
+        if len(kept) < capacity:
+            kept.append(position)
+            kept_labels.append(label)
+            counts[label] = counts.get(label, 0) + 1
+            continue
+        max_count = max(counts.values())
+        if counts.get(label, 0) < max_count:
+            # Rebalance: push out a random member of the largest class.
+            victim = min(c for c, n in counts.items() if n == max_count)
+            slots = [i for i, kept_label in enumerate(kept_labels) if kept_label == victim]
+            slot = slots[int(rng.integers(0, len(slots)))]
+        else:
+            # The class is already (joint-)largest: per-class reservoir.
+            draw = int(rng.integers(0, seen[label]))
+            if draw >= counts[label]:
+                continue
+            slots = [i for i, kept_label in enumerate(kept_labels) if kept_label == label]
+            slot = slots[draw]
+        evicted = kept_labels[slot]
+        counts[evicted] -= 1
+        if not counts[evicted]:
+            del counts[evicted]
+        counts[label] = counts.get(label, 0) + 1
+        kept[slot] = position
+        kept_labels[slot] = label
+    return kept
+
+
+def _is_plain_name(name) -> bool:
+    """Whether ``name`` is a plain directory name (no path traversal)."""
+    return (
+        isinstance(name, str)
+        and bool(name)
+        and "/" not in name
+        and "\\" not in name
+        and name not in (".", "..")
+    )
+
+
+def _name_list(
+    payload: dict, key: str, path: Path, default: list | None = None
+) -> list[str]:
+    """Member-name list ``key`` of the federation index at ``path``."""
+    value = payload.get(key, default)
+    if (
+        not isinstance(value, list)
+        or not all(_is_plain_name(name) for name in value)
+        or len(set(value)) != len(value)
+    ):
+        raise malformed_index(path, key, "a list of distinct member names", value)
+    return list(value)
 
 
 @dataclass(frozen=True)
@@ -86,7 +182,6 @@ class FederationStats:
     sample_bytes: int
     model_bytes: int
     budget_bytes: int | None
-    policy: str
     member_samples: dict[str, int]
     class_counts: dict[int, int]
 
@@ -99,29 +194,21 @@ class FederationStats:
 
 
 class FederatedReplayStore:
-    """Ordered member stores + global budget ledger + composed view."""
+    """Ordered member stores + global budget ledger."""
 
     def __init__(
         self,
         root: Path,
         member_names: list[str],
         budget_bytes: int | None,
-        policy: str,
         seed: int,
         rebalances: int = 0,
         pending_removal: list[str] | None = None,
-        member_samples: dict[str, int] | None = None,
         geometry: dict | None = None,
-        max_open_members: int = DEFAULT_OPEN_MEMBERS,
     ):
-        if max_open_members < 1:
-            raise StoreError(
-                f"max_open_members must be >= 1, got {max_open_members}"
-            )
         self.root = Path(root)
         self.member_names = list(member_names)
         self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
-        self.policy = policy
         self.seed = int(seed)
         #: Count of completed rebalance passes; keys the rebalance RNG so
         #: repeated passes stay deterministic yet independent.
@@ -130,15 +217,10 @@ class FederatedReplayStore:
         #: owes a removal — the crash ledger :meth:`adopt` consults so a
         #: stale dir is never silently re-registered as fresh latents.
         self.pending_removal = list(pending_removal or [])
-        #: Per-member sample counts, maintained by :meth:`adopt` and
-        #: :meth:`rebalance`, so :meth:`stream` can lay out the global
-        #: index space without opening a single member.
-        self.member_samples: dict[str, int] = dict(member_samples or {})
         #: Latent geometry shared by every member (persisted at first
-        #: adopt); lets :meth:`adopt` validate and :meth:`stream` plan
-        #: lazily, again without opening a reference member.
+        #: adopt); lets :meth:`adopt` validate and :attr:`sample_bytes`
+        #: price a sample without opening a reference member.
         self.geometry = dict(geometry) if geometry else None
-        self.max_open_members = int(max_open_members)
         self._members: OrderedDict[str, ReplayStore] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -161,14 +243,12 @@ class FederatedReplayStore:
         from concurrent handles compose; a handle whose index vanished
         gets a clean :class:`~repro.errors.StoreError`.
         """
-        fresh = type(self).open(self.root, max_open_members=self.max_open_members)
+        fresh = type(self).open(self.root)
         self.member_names = fresh.member_names
         self.budget_bytes = fresh.budget_bytes
-        self.policy = fresh.policy
         self.seed = fresh.seed
         self.rebalances = fresh.rebalances
         self.pending_removal = fresh.pending_removal
-        self.member_samples = fresh.member_samples
         self.geometry = fresh.geometry
         # Cached handles may predate another handle's commit; drop them
         # so the next access reopens against the current member state.
@@ -183,7 +263,6 @@ class FederatedReplayStore:
         root: str | Path,
         *,
         budget_bytes: int | None = None,
-        policy: str = "class-balanced",
         seed: int = 0,
         overwrite: bool = False,
     ) -> "FederatedReplayStore":
@@ -192,8 +271,7 @@ class FederatedReplayStore:
         index_path = root / FEDERATION_INDEX_NAME
         if budget_bytes is not None and budget_bytes <= 0:
             raise StoreError(f"budget_bytes must be positive, got {budget_bytes}")
-        get_policy(policy)  # validate the name up front
-        federation = cls(root, [], budget_bytes, policy, seed)
+        federation = cls(root, [], budget_bytes, seed)
         with federation._locked():
             if index_path.exists() and not overwrite:
                 raise StoreError(
@@ -228,13 +306,15 @@ class FederatedReplayStore:
         return federation
 
     @classmethod
-    def open(
-        cls,
-        root: str | Path,
-        *,
-        max_open_members: int = DEFAULT_OPEN_MEMBERS,
-    ) -> "FederatedReplayStore":
-        """Load an existing federation from its index."""
+    def open(cls, root: str | Path) -> "FederatedReplayStore":
+        """Load an existing federation from its index.
+
+        Every field is validated: a malformed value raises
+        :class:`~repro.errors.StoreError` naming the file and the field,
+        and an index whose ``policy`` is not :data:`ADMISSION_RULE` is
+        refused rather than rebalanced under a different rule.  A
+        ``member_samples`` entry left by older indexes is ignored.
+        """
         root = Path(root)
         index_path = root / FEDERATION_INDEX_NAME
         if not index_path.exists():
@@ -247,36 +327,43 @@ class FederatedReplayStore:
             raise StoreError(
                 f"corrupt federation index at {index_path}: {error}"
             ) from error
-        if payload.get("version") != FEDERATION_VERSION:
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != FEDERATION_VERSION:
+            raise StoreError(f"unsupported federation index version {version!r}")
+        policy = payload.get("policy", ADMISSION_RULE)
+        if policy != ADMISSION_RULE:
             raise StoreError(
-                f"unsupported federation index version {payload.get('version')!r}"
+                f"federation at {root} uses eviction policy {policy!r}; only "
+                f"{ADMISSION_RULE!r} admission is supported"
             )
-        try:
-            return cls(
-                root,
-                list(payload["members"]),
-                payload["budget_bytes"],
-                payload["policy"],
-                int(payload["seed"]),
-                rebalances=int(payload.get("rebalances", 0)),
-                pending_removal=list(payload.get("pending_removal", [])),
-                member_samples={
-                    str(k): int(v)
-                    for k, v in payload.get("member_samples", {}).items()
-                },
-                geometry=payload.get("geometry"),
-                max_open_members=max_open_members,
+        budget = None
+        if payload.get("budget_bytes", 0) is not None:  # missing is malformed
+            budget = index_int(payload, "budget_bytes", index_path, minimum=1)
+        geometry = payload.get("geometry")
+        if geometry is not None and not (
+            isinstance(geometry, dict)
+            and set(geometry) == set(_GEOMETRY_KEYS)
+            and all(is_int(value) and value >= 0 for value in geometry.values())
+        ):
+            raise malformed_index(
+                index_path, "geometry", f"an object of {_GEOMETRY_KEYS}", geometry
             )
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed federation index at {index_path}: {error}"
-            ) from error
+        return cls(
+            root,
+            _name_list(payload, "members", index_path),
+            budget,
+            index_int(payload, "seed", index_path, minimum=None),
+            rebalances=index_int(payload, "rebalances", index_path, default=0),
+            pending_removal=_name_list(
+                payload, "pending_removal", index_path, default=[]
+            ),
+            geometry=geometry,
+        )
 
     def configure(
         self,
         *,
         budget_bytes: int | None = None,
-        policy: str | None = None,
         seed: int | None = None,
     ) -> None:
         """Update the budget ledger of an existing federation.
@@ -290,14 +377,10 @@ class FederatedReplayStore:
             raise StoreError(
                 f"budget_bytes must be positive, got {budget_bytes}"
             )
-        if policy is not None:
-            get_policy(policy)  # validate the name
         with self._locked():
             self._reload()
             if budget_bytes is not None:
                 self.budget_bytes = int(budget_bytes)
-            if policy is not None:
-                self.policy = policy
             if seed is not None:
                 self.seed = int(seed)
             self._write_index()
@@ -307,14 +390,11 @@ class FederatedReplayStore:
         payload = {
             "version": FEDERATION_VERSION,
             "budget_bytes": self.budget_bytes,
-            "policy": self.policy,
+            "policy": ADMISSION_RULE,
             "seed": self.seed,
             "rebalances": self.rebalances,
             "members": list(self.member_names),
             "pending_removal": list(self.pending_removal),
-            "member_samples": {
-                name: int(count) for name, count in self.member_samples.items()
-            },
             "geometry": self.geometry,
         }
         atomic_write_json(self.root / FEDERATION_INDEX_NAME, payload)
@@ -325,7 +405,7 @@ class FederatedReplayStore:
     def member(self, name: str) -> ReplayStore:
         """The named member store (opened lazily, LRU-capped cache).
 
-        At most :attr:`max_open_members` handles stay cached; the least
+        At most :data:`MAX_OPEN_MEMBERS` handles stay cached; the least
         recently used is dropped when the cap is hit (a
         :class:`~repro.replaystore.store.ReplayStore` handle is just a
         parsed index — dropping it costs a reopen, nothing else).
@@ -337,7 +417,7 @@ class FederatedReplayStore:
         if name in self._members:
             self._members.move_to_end(name)
             return self._members[name]
-        while len(self._members) >= self.max_open_members:
+        while len(self._members) >= MAX_OPEN_MEMBERS:
             self._members.popitem(last=False)
         store = ReplayStore.open(self.root / name)
         self._members[name] = store
@@ -356,13 +436,7 @@ class FederatedReplayStore:
     @staticmethod
     def _geometry_of(store: ReplayStore) -> dict:
         """The meta fields every member must agree on."""
-        return {
-            "stored_frames": store.meta.stored_frames,
-            "num_channels": store.meta.num_channels,
-            "codec_factor": store.meta.codec_factor,
-            "insertion_layer": store.meta.insertion_layer,
-            "generated_timesteps": store.meta.generated_timesteps,
-        }
+        return {key: getattr(store.meta, key) for key in _GEOMETRY_KEYS}
 
     def adopt(self, name: str, *, allow_orphan: bool = False) -> ReplayStore:
         """Register the store at ``root/name`` as the next member.
@@ -379,7 +453,7 @@ class FederatedReplayStore:
         the caller passes ``allow_orphan=True`` to explicitly claim the
         old data (which also clears the ledger entry).
         """
-        if not name or "/" in name or "\\" in name or name in (".", ".."):
+        if not _is_plain_name(name):
             raise StoreError(
                 f"member name must be a plain directory name, got {name!r}"
             )
@@ -428,7 +502,6 @@ class FederatedReplayStore:
             if name in self.pending_removal:
                 self.pending_removal.remove(name)
             self.member_names.append(name)
-            self.member_samples[name] = store.num_samples
             self._members[name] = store
             self._write_index()
         return store
@@ -456,7 +529,7 @@ class FederatedReplayStore:
 
     @property
     def sample_bytes(self) -> int:
-        """Modelled bytes per stored sample (builder's budget model)."""
+        """Modelled bytes per stored sample (Fig. 12 storage model)."""
         if not self.member_names:
             raise StoreError("an empty federation has no sample geometry")
         geometry = self.geometry
@@ -499,7 +572,6 @@ class FederatedReplayStore:
             sample_bytes=self.sample_bytes if self.member_names else 0,
             model_bytes=self.model_bytes(),
             budget_bytes=self.budget_bytes,
-            policy=self.policy,
             member_samples={
                 name: store.num_samples for name, store in self.members()
             },
@@ -518,11 +590,9 @@ class FederatedReplayStore:
     def rebalance(self) -> int:
         """Enforce the global budget across members; returns evictions.
 
-        Every stored sample is offered — in global arrival order — to a
-        fresh instance of the federation's
-        :class:`~repro.replaystore.policies.EvictionPolicy` at the
-        budget's capacity; survivors keep their member and storage
-        order, losers are evicted via
+        Every stored sample is offered — in global arrival order — to
+        :func:`class_balanced_admit` at the budget's capacity; survivors
+        keep their member and storage order, losers are evicted via
         :meth:`~repro.replaystore.store.ReplayStore.filter`.  The pass
         is index-only until the per-member rewrites, so decision cost
         never touches shard payloads.  Deterministic: the RNG derives
@@ -554,353 +624,30 @@ class FederatedReplayStore:
                 f"budget of {self.budget_bytes} B holds no sample "
                 f"({self.sample_bytes} B each)"
             )
-        policy = get_policy(self.policy)
-        policy.reset()
         rng = spawn(self.seed, f"federation-rebalance:{self.rebalances}")
 
-        # Policy pass over (member, local index) in global arrival order.
-        kept_labels: list[int] = []
-        kept_sources: list[tuple[str, int]] = []
+        # Admission pass over (member, local index) in global arrival order.
+        sources: list[tuple[str, int]] = []
+        labels: list[int] = []
         for name, store in self.members():
-            for local, label in enumerate(store.labels):
-                slot = policy.admit(int(label), kept_labels, capacity, rng)
-                if slot is None:
-                    continue
-                if slot == len(kept_labels):
-                    kept_labels.append(int(label))
-                    kept_sources.append((name, local))
-                else:
-                    kept_labels[slot] = int(label)
-                    kept_sources[slot] = (name, local)
+            sources += [(name, local) for local in range(store.num_samples)]
+            labels += store.labels.tolist()
+        survivors: dict[str, list[int]] = {name: [] for name in self.member_names}
+        for position in class_balanced_admit(labels, capacity, rng):
+            name, local = sources[position]
+            survivors[name].append(local)
 
         # Rewrite each member with its survivors (storage order kept).
         evicted = 0
         for name, store in self.members():
-            survivors = np.asarray(
-                sorted(local for member, local in kept_sources if member == name),
-                dtype=np.int64,
-            )
-            evicted += store.filter(survivors)
-            self.member_samples[name] = store.num_samples
+            evicted += store.filter(np.asarray(sorted(survivors[name]), dtype=np.int64))
         self.rebalances += 1
         self._write_index()
         _span.set(evicted=evicted)
         return evicted
 
-    # ------------------------------------------------------------------
-    # Composed view
-    # ------------------------------------------------------------------
-    def stream(
-        self,
-        decompress: bool = False,
-        cache_shards: int = 2,
-        max_open_streams: int | None = None,
-    ) -> "FederatedReplayStream":
-        """Lazy class-spanning view over every member's samples.
-
-        Fully lazy end to end: the global index layout comes from the
-        persisted per-member sample counts (falling back to one
-        index-only open per member for pre-ledger federations), and a
-        member's :class:`~repro.replaystore.stream.ReplayStream` is only
-        opened when a gather first touches it — at most
-        ``max_open_streams`` (default :attr:`max_open_members`) member
-        streams stay open at once.
-        """
-        geometry = self.geometry
-        if geometry is None and self.member_names:
-            geometry = self._geometry_of(self.member(self.member_names[0]))
-        counts: list[tuple[str, int]] = []
-        for name in self.member_names:
-            if name in self.member_samples:
-                counts.append((name, self.member_samples[name]))
-            else:  # pre-ledger index: index-only open, one at a time
-                counts.append((name, self.member(name).num_samples))
-        entries = [(name, count) for name, count in counts if count > 0]
-        if not entries:
-            raise StoreError(
-                f"federation at {self.root} holds no samples to stream"
-            )
-        assert geometry is not None  # non-empty federation has geometry
-        if not decompress and geometry["codec_factor"] != 1:
-            raise StoreError(
-                "cannot stream subsampled frames without decompression: "
-                f"store codec factor is {geometry['codec_factor']}"
-            )
-        root = self.root
-
-        def opener(name: str) -> ReplayStream:
-            return ReplayStream(
-                ReplayStore.open(root / name),
-                decompress=decompress,
-                cache_shards=cache_shards,
-            )
-
-        timesteps = (
-            geometry["generated_timesteps"]
-            if decompress
-            else geometry["stored_frames"]
-        )
-        return FederatedReplayStream.lazy(
-            openers=[
-                (lambda name=name: opener(name)) for name, _count in entries
-            ],
-            counts=[count for _name, count in entries],
-            timesteps=timesteps,
-            num_channels=geometry["num_channels"],
-            max_open_streams=(
-                self.max_open_members
-                if max_open_streams is None
-                else max_open_streams
-            ),
-        )
-
     def __repr__(self) -> str:
         return (
             f"FederatedReplayStore(root={str(self.root)!r}, "
-            f"members={self.num_members}, policy={self.policy!r}, "
-            f"budget={self.budget_bytes})"
+            f"members={self.num_members}, budget={self.budget_bytes})"
         )
-
-
-class FederatedReplayStream:
-    """Sample-axis concatenation of member :class:`ReplayStream` views.
-
-    Serves the same lazy-source protocol as a single stream (``shape`` /
-    ``gather`` / ``labels`` / shard iteration), with indices routed to
-    members by global arrival order — so a federation trains exactly
-    like one big store while peak resident memory stays
-    ``cache_shards`` decoded shards per *open* member stream.
-
-    Member streams are lazy: constructed via :meth:`lazy` (the
-    :meth:`FederatedReplayStore.stream` path), a member is only opened
-    when a gather first touches it, and at most ``max_open_streams``
-    stay open — the least recently used is closed (its reader pin
-    released) when the cap is hit.  The plain constructor takes
-    already-open streams and never evicts them (an evicted pre-built
-    stream could not be reopened).
-    """
-
-    def __init__(self, streams: list[ReplayStream]):
-        if not streams:
-            raise StoreError("FederatedReplayStream needs at least one stream")
-        first = streams[0]
-        for stream in streams[1:]:
-            if (
-                stream.timesteps != first.timesteps
-                or stream.num_channels != first.num_channels
-            ):
-                raise StoreError(
-                    f"member streams disagree on geometry: "
-                    f"[T={first.timesteps}, C={first.num_channels}] vs "
-                    f"[T={stream.timesteps}, C={stream.num_channels}]"
-                )
-        self._init(
-            openers=[(lambda s=s: s) for s in streams],
-            counts=[s.num_samples for s in streams],
-            timesteps=first.timesteps,
-            num_channels=first.num_channels,
-            max_open_streams=len(streams),
-            preopened=list(streams),
-        )
-
-    @classmethod
-    def lazy(
-        cls,
-        openers: list[Callable[[], ReplayStream]],
-        counts: list[int],
-        timesteps: int,
-        num_channels: int,
-        max_open_streams: int = DEFAULT_OPEN_MEMBERS,
-    ) -> "FederatedReplayStream":
-        """Build a stream whose members open on first gather.
-
-        ``openers[i]`` must return a fresh stream over member ``i``
-        holding exactly ``counts[i]`` samples; a mismatch at open time
-        (the member was mutated after the layout was taken) raises
-        :class:`~repro.errors.StoreError` instead of misrouting indices.
-        """
-        if not openers:
-            raise StoreError("FederatedReplayStream needs at least one stream")
-        if len(openers) != len(counts):
-            raise StoreError(
-                f"{len(openers)} openers but {len(counts)} member counts"
-            )
-        if max_open_streams < 1:
-            raise StoreError(
-                f"max_open_streams must be >= 1, got {max_open_streams}"
-            )
-        self = cls.__new__(cls)
-        self._init(
-            openers=list(openers),
-            counts=[int(c) for c in counts],
-            timesteps=int(timesteps),
-            num_channels=int(num_channels),
-            max_open_streams=int(max_open_streams),
-            preopened=None,
-        )
-        return self
-
-    def _init(
-        self,
-        openers: list[Callable[[], ReplayStream]],
-        counts: list[int],
-        timesteps: int,
-        num_channels: int,
-        max_open_streams: int,
-        preopened: list[ReplayStream] | None,
-    ) -> None:
-        self._openers = openers
-        self._counts = counts
-        self._timesteps = timesteps
-        self._num_channels = num_channels
-        self.max_open_streams = max(1, max_open_streams)
-        self._open: OrderedDict[int, ReplayStream] = OrderedDict()
-        if preopened is not None:
-            self._open.update(enumerate(preopened))
-        #: Member streams opened over this view's lifetime (telemetry;
-        #: the concurrency tests assert the LRU cap from it).
-        self.member_opens = len(self._open)
-        # Peaks of already-closed member streams, so peak_cache_bytes
-        # survives eviction.
-        self._retired_peak_bytes = 0
-        bounds = np.cumsum(counts)
-        self._bounds = np.concatenate([[0], bounds]).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Member stream lifecycle
-    # ------------------------------------------------------------------
-    def _stream(self, member: int) -> ReplayStream:
-        """Member stream ``member``, opening (and LRU-evicting) as needed."""
-        if member in self._open:
-            self._open.move_to_end(member)
-            return self._open[member]
-        while len(self._open) >= self.max_open_streams:
-            _, victim = self._open.popitem(last=False)
-            self._retired_peak_bytes += victim.peak_cache_bytes
-            victim.close()
-        stream = self._openers[member]()
-        if stream.num_samples != self._counts[member]:
-            stream.close()
-            raise StoreError(
-                f"store was mutated: member {member} now holds "
-                f"{stream.num_samples} samples, this view was laid out "
-                f"for {self._counts[member]}; open a fresh stream"
-            )
-        if (
-            stream.timesteps != self._timesteps
-            or stream.num_channels != self._num_channels
-        ):
-            stream.close()
-            raise StoreError(
-                f"member streams disagree on geometry: "
-                f"[T={self._timesteps}, C={self._num_channels}] vs "
-                f"[T={stream.timesteps}, C={stream.num_channels}]"
-            )
-        self._open[member] = stream
-        self.member_opens += 1
-        obs.count("federation.member_opens")
-        return stream
-
-    @property
-    def open_streams(self) -> int:
-        """Member streams currently open (bounded by the LRU cap)."""
-        return len(self._open)
-
-    def close(self) -> None:
-        """Close every open member stream (releasing reader pins)."""
-        while self._open:
-            _, stream = self._open.popitem(last=False)
-            self._retired_peak_bytes += stream.peak_cache_bytes
-            stream.close()
-
-    def __enter__(self) -> "FederatedReplayStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Lazy-source protocol
-    # ------------------------------------------------------------------
-    @property
-    def num_samples(self) -> int:
-        """Total samples across the member streams."""
-        return int(self._bounds[-1])
-
-    @property
-    def timesteps(self) -> int:
-        """Generated timesteps per sample (uniform across members)."""
-        return self._timesteps
-
-    @property
-    def num_channels(self) -> int:
-        """Channels per sample (uniform across members)."""
-        return self._num_channels
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Logical ``[T, n, C]`` shape of the concatenated stream."""
-        return (self.timesteps, self.num_samples, self.num_channels)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Labels of every member stream, concatenated in member order.
-
-        Opens members one at a time through the LRU, so even the full
-        label sweep never exceeds the open-handle cap.
-        """
-        return np.concatenate(
-            [self._stream(i).labels for i in range(len(self._counts))]
-        )
-
-    @property
-    def peak_cache_bytes(self) -> int:
-        """Upper bound on decoded-shard residency across member streams.
-
-        Open member LRU caches are resident *simultaneously*, so the
-        federated high-water mark is the sum of the members' peaks
-        (closed members contribute the peak they retired with).  A
-        bound, not an exact joint maximum: members need not peak at the
-        same instant.
-        """
-        return self._retired_peak_bytes + sum(
-            s.peak_cache_bytes for s in self._open.values()
-        )
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Decode the requested samples into a ``[T, k, C]`` raster.
-
-        Behaves exactly like fancy indexing on the member-concatenated
-        dense array (duplicates and arbitrary order included).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 1:
-            raise StoreError(f"indices must be 1-D, got shape {indices.shape}")
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= self.num_samples
-        ):
-            raise StoreError(
-                f"indices out of range [0, {self.num_samples}) "
-                f"(got [{indices.min()}, {indices.max()}])"
-            )
-        out = np.empty(
-            (self.timesteps, indices.size, self.num_channels), dtype=np.float32
-        )
-        member_of = np.searchsorted(self._bounds, indices, side="right") - 1
-        with obs.span(
-            "federation.gather", category="store", samples=int(indices.size)
-        ):
-            for member in np.unique(member_of):
-                mask = member_of == member
-                local = indices[mask] - self._bounds[member]
-                out[:, mask, :] = self._stream(int(member)).gather(local)
-        return out
-
-    def __iter__(self):
-        """Yield ``(raster, labels)`` shard by shard across members."""
-        for member in range(len(self._counts)):
-            yield from self._stream(member)
-
-    def materialize(self) -> np.ndarray:
-        """Densify the whole federation (tests/small stores only)."""
-        return self.gather(np.arange(self.num_samples))

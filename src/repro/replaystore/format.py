@@ -48,6 +48,7 @@ __all__ = [
     "decode_shard",
     "peek_header",
     "payload_offset",
+    "SAMPLE_HEADER_BYTES",
 ]
 
 SHARD_MAGIC = b"RSHD"
@@ -68,6 +69,13 @@ _AER_TIME_BYTES = 2
 _AER_CELL_BYTES = 4
 _AER = AddressEventCodec(time_bytes=_AER_TIME_BYTES, channel_bytes=_AER_CELL_BYTES)
 _BITPACK = BitpackCodec()
+
+#: Per-sample metadata charge (label + shape bookkeeping) of the Fig. 12
+#: storage model, on top of the bit-packed payload: one int64 label per
+#: sample, as in the shard layout above.  The single authority behind
+#: ``LatentReplayBuffer.storage_bytes``, the ``repro.hw.memory`` models
+#: and the federation's byte budget, so they can never diverge.
+SAMPLE_HEADER_BYTES = 8
 
 
 @dataclass(frozen=True)

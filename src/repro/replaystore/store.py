@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,9 @@ __all__ = [
     "INDEX_NAME",
     "LOCK_NAME",
     "READERS_DIR",
+    "index_int",
+    "is_int",
+    "malformed_index",
 ]
 
 INDEX_NAME = "index.json"
@@ -73,6 +76,56 @@ INDEX_VERSION = 1
 #: Default samples per shard; also the replay-time decode granularity
 #: (peak resident replay memory is ~``shard_samples`` dense samples).
 DEFAULT_SHARD_SAMPLES = 64
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_shard_entry(entry) -> bool:
+    """Whether ``entry`` is a well-typed row of the shard table."""
+    if not isinstance(entry, dict) or set(entry) != _SHARD_KEYS:
+        return False
+    counts = (entry["num_samples"], entry["payload_bytes"], entry["payload_offset"])
+    labels = entry["labels"]
+    return (
+        isinstance(entry["file"], str)
+        and isinstance(entry["codec"], str)
+        and all(is_int(count) and count >= 0 for count in counts)
+        and isinstance(labels, list)
+        and len(labels) == entry["num_samples"]
+        and all(is_int(label) for label in labels)
+    )
+
+
+def malformed_index(path: Path, key: str, expected: str, value) -> StoreError:
+    """The error for index field ``key`` at ``path`` not being ``expected``."""
+    return StoreError(
+        f"malformed index at {path}: field {key!r} must be {expected}, "
+        f"got {value!r}"
+    )
+
+
+def index_int(
+    payload: dict,
+    key: str,
+    path: Path,
+    *,
+    default: int | None = None,
+    minimum: int | None = 0,
+) -> int:
+    """Integer field ``key`` of the index at ``path``, at least ``minimum``.
+
+    A missing key yields ``default`` (malformed when there is none); a
+    non-integer or too-small value raises :class:`StoreError` naming
+    the file and the field instead of escaping as a raw Python error.
+    """
+    value = payload.get(key, default)
+    if not is_int(value) or (minimum is not None and value < minimum):
+        expected = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise malformed_index(path, key, expected, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,6 +165,9 @@ class ShardInfo:
     payload_bytes: int
     payload_offset: int
     labels: list[int] = field(default_factory=list)
+
+
+_SHARD_KEYS = {f.name for f in fields(ShardInfo)}
 
 
 @dataclass(frozen=True)
@@ -278,26 +334,14 @@ class ReplayStore:
     def open(cls, root: str | Path) -> "ReplayStore":
         """Load an existing store from its index."""
         root = Path(root)
-        index_path = root / INDEX_NAME
-        payload = cls._read_index(index_path)
-        try:
-            meta = StoreMeta(**payload["meta"])
-            shards = [ShardInfo(**entry) for entry in payload["shards"]]
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed store index at {index_path}: {error}"
-            ) from error
-        return cls(
-            root,
-            meta,
-            shards,
-            generation=int(payload.get("generation", 0)),
-            tombstones=list(payload.get("tombstones", [])),
-        )
+        meta, shards, generation, tombstones = cls._read_index(root / INDEX_NAME)
+        return cls(root, meta, shards, generation=generation, tombstones=tombstones)
 
     @staticmethod
-    def _read_index(index_path: Path) -> dict:
-        """Parse the raw index payload (shared by ``open`` and reload)."""
+    def _read_index(
+        index_path: Path,
+    ) -> tuple[StoreMeta, list[ShardInfo], int, list[dict]]:
+        """Parse and validate an index (shared by ``open`` and reload)."""
         if not index_path.exists():
             raise StoreError(
                 f"no replay store at {index_path.parent} (missing {INDEX_NAME})"
@@ -306,11 +350,37 @@ class ReplayStore:
             payload = json.loads(index_path.read_text())
         except (OSError, json.JSONDecodeError) as error:
             raise StoreError(f"corrupt store index at {index_path}: {error}") from error
-        if payload.get("version") != INDEX_VERSION:
-            raise StoreError(
-                f"unsupported store index version {payload.get('version')!r}"
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != INDEX_VERSION:
+            raise StoreError(f"unsupported store index version {version!r}")
+        try:
+            meta = StoreMeta(**payload.get("meta"))
+        except TypeError as error:
+            raise malformed_index(
+                index_path, "meta", "an object of store geometry", payload.get("meta")
+            ) from error
+        shards = payload.get("shards")
+        if not isinstance(shards, list):
+            raise malformed_index(index_path, "shards", "a list", shards)
+        for entry in shards:
+            if not _is_shard_entry(entry):
+                raise malformed_index(index_path, "shards", "shard entries", entry)
+        shards = [ShardInfo(**entry) for entry in shards]
+        generation = index_int(payload, "generation", index_path, default=0)
+        tombstones = payload.get("tombstones", [])
+        if not isinstance(tombstones, list) or not all(
+            isinstance(tomb, dict)
+            and isinstance(tomb.get("file"), str)
+            and is_int(tomb.get("generation"))
+            for tomb in tombstones
+        ):
+            raise malformed_index(
+                index_path,
+                "tombstones",
+                "a list of {file, generation} entries",
+                tombstones,
             )
-        return payload
+        return meta, shards, generation, tombstones
 
     def _reload(self) -> None:
         """Refresh this handle from the on-disk index.
@@ -319,16 +389,9 @@ class ReplayStore:
         cycles from concurrent handles compose instead of clobbering each
         other (the second writer starts from the first writer's commit).
         """
-        payload = self._read_index(self.root / INDEX_NAME)
-        try:
-            self.meta = StoreMeta(**payload["meta"])
-            self.shards = [ShardInfo(**entry) for entry in payload["shards"]]
-        except (KeyError, TypeError) as error:
-            raise StoreError(
-                f"malformed store index at {self.root / INDEX_NAME}: {error}"
-            ) from error
-        self.generation = int(payload.get("generation", 0))
-        self.tombstones = list(payload.get("tombstones", []))
+        self.meta, self.shards, self.generation, self.tombstones = (
+            self._read_index(self.root / INDEX_NAME)
+        )
 
     def _write_index(self) -> None:
         """Atomically replace the index (write-to-temp + rename)."""

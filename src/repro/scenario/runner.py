@@ -240,7 +240,6 @@ def create_federation(replay: ReplaySpec | None):
     return FederatedReplayStore.create(
         Path(replay.store_dir),
         budget_bytes=replay.federation_budget_bytes,
-        policy=replay.federation_policy,
         seed=replay.federation_seed,
         overwrite=replay.overwrite,
     )
@@ -265,9 +264,8 @@ def run_chained_step(
     (``2 * replay.shard_samples`` dense samples) however long the task
     stream grows, and its trajectory is bitwise the dense one.
     ``replay.federation_budget_bytes`` caps the archive across *all*
-    members (losers are evicted through ``replay.federation_policy``,
-    seeded by ``replay.federation_seed``), never the current step's
-    replay set.
+    members (losers are evicted class-balanced, seeded by
+    ``replay.federation_seed``), never the current step's replay set.
     """
     if federation is not None:
         member = f"step-{index:03d}"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.latent_replay import HEADER_BYTES_PER_SAMPLE, LatentReplayBuffer
+from repro.core.latent_replay import LatentReplayBuffer
 from repro.compression import TemporalSubsampleCodec
 from repro.errors import CodecError, ConfigError
+from repro.replaystore import SAMPLE_HEADER_BYTES, ReplayStream
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +83,10 @@ class TestGenerateIntoStore:
             timesteps=12,
             shard_samples=3,
         )
-        streamed = LatentReplayBuffer.from_store(store)
-        np.testing.assert_array_equal(streamed.compressed, dense.compressed)
-        np.testing.assert_array_equal(streamed.labels, dense.labels)
+        np.testing.assert_array_equal(
+            ReplayStream(store).materialize(), dense.compressed
+        )
+        np.testing.assert_array_equal(store.labels, dense.labels)
         # Per-chunk trace accumulation covers the whole subset.
         assert len(trace.entries) == 2
         assert all(e.batch == len(replay) for e in trace.entries)
@@ -153,7 +155,7 @@ class TestStorage:
     def test_storage_bytes_formula(self, buffer_and_inputs):
         buffer, _ = buffer_and_inputs
         cells = buffer.stored_frames * buffer.num_samples * buffer.num_channels
-        expected = (cells + 7) // 8 + HEADER_BYTES_PER_SAMPLE * buffer.num_samples
+        expected = (cells + 7) // 8 + SAMPLE_HEADER_BYTES * buffer.num_samples
         assert buffer.storage_bytes() == expected
 
     def test_reduced_timestep_saves_memory(self, ci_pretrained, ci_split):

@@ -39,8 +39,8 @@ class TestReplaySpecValidation:
             ReplaySpec(store_dir=tmp_path, shard_samples=0)
         with pytest.raises(ConfigError, match="federation_budget_bytes"):
             ReplaySpec(store_dir=tmp_path, federation_budget_bytes=-1)
-        with pytest.raises(ConfigError, match="federation_policy"):
-            ReplaySpec(store_dir=tmp_path, federation_policy="lru")
+        with pytest.raises(TypeError, match="federation_policy"):
+            ReplaySpec(store_dir=tmp_path, federation_policy="fifo")
 
     def test_member_view(self, tmp_path):
         spec = ReplaySpec(

@@ -13,10 +13,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.compression import TemporalSubsampleCodec
 from repro.core import Replay4NCL, ReplaySpec, SpikingLR, run_method
 from repro.core.latent_replay import LatentReplayBuffer
 from repro.hw.memory import audit_store
-from repro.replaystore import ReplayStore, ReplayStream
+from repro.replaystore import ReplayStore, ReplayStream, StoreMeta
 from repro.training.trainer import Trainer
 
 
@@ -143,13 +144,22 @@ class TestStoreArtifacts:
         assert audit.disk_bytes > audit.payload_bytes
         assert audit.modelled_bytes == result.latent_storage_bytes
 
-    def test_buffer_roundtrips_through_store(self, store_run):
+    def test_buffer_roundtrips_through_store(self, store_run, tmp_path):
         _, store = store_run
-        buffer = LatentReplayBuffer.from_store(store)
-        assert buffer.num_samples == store.num_samples
-        np.testing.assert_array_equal(buffer.labels, store.labels)
-        store_view = ReplayStream(store).materialize()
-        np.testing.assert_array_equal(buffer.compressed, store_view)
+        stored = ReplayStream(store).materialize()
+        buffer = LatentReplayBuffer(
+            compressed=stored,
+            labels=store.labels,
+            insertion_layer=store.meta.insertion_layer,
+            generated_timesteps=store.meta.generated_timesteps,
+            codec=TemporalSubsampleCodec(store.meta.codec_factor),
+        )
+        copy = buffer.to_store(tmp_path / "copy", shard_samples=3)
+        assert copy.meta == StoreMeta(
+            **{**vars(store.meta), "shard_samples": 3}
+        )
+        np.testing.assert_array_equal(copy.labels, store.labels)
+        np.testing.assert_array_equal(ReplayStream(copy).materialize(), stored)
 
     def test_resident_memory_bounded_by_shard(self, store_run):
         _, store = store_run

@@ -147,7 +147,7 @@ class TestSitePages:
                 "flock",
                 "tombstone",
                 "generation",
-                "max_open_members",
+                "MAX_OPEN_MEMBERS",
             ],
             "backends.md": ["SequenceExecutor", "REPRO_BACKEND", "parity"],
             "reproducibility.md": ["bitwise", "associat", "-ffp-contract=off"],

@@ -1,4 +1,4 @@
-"""Concurrency suite: locks, pinned readers, lazy members, crash windows.
+"""Concurrency suite: locks, pinned readers, member LRU, crash windows.
 
 The two-handle contract under test everywhere here: a reader that
 overlaps a mutation either finishes against its pinned snapshot or gets
@@ -21,6 +21,7 @@ from repro.replaystore import (
     ReplayStore,
     ReplayStream,
 )
+from repro.replaystore.federation import MAX_OPEN_MEMBERS
 from repro.replaystore.store import LOCK_NAME
 
 FRAMES, CHANNELS = 8, 12
@@ -215,15 +216,16 @@ class TestLockedMutations:
         def read():
             try:
                 for _ in range(6):
-                    view = FederatedReplayStore.open(tmp_path / "fed").stream()
+                    fed_view = FederatedReplayStore.open(tmp_path / "fed")
                     try:
-                        total = view.num_samples
-                        data = view.gather(np.arange(min(total, 8)))
-                        assert data.shape[0] == FRAMES
+                        labels = fed_view.labels
+                        assert labels.size % 8 == 0
+                        for name, store in fed_view.members():
+                            with ReplayStream(store) as stream:
+                                data = stream.gather(np.arange(4))
+                            assert data.shape == (FRAMES, 4, CHANNELS)
                     except StoreError:
                         pass  # mutated mid-read: clean, expected
-                    finally:
-                        view.close()
             except Exception as error:  # pragma: no cover - must not happen
                 errors.append(error)
 
@@ -241,9 +243,8 @@ class TestLockedMutations:
             ["task-0", "task-1"] + [f"late-{k}" for k in range(4)]
         )
         assert merged.num_samples == 6 * 8
-        # The persisted ledger agrees with the stores on disk.
-        for name in merged.member_names:
-            assert merged.member_samples[name] == merged.member(name).num_samples
+        # Every concurrent adopt landed: the labels span all six members.
+        assert merged.labels.tolist() == (np.arange(8) % 4).tolist() * 6
 
 
 class TestAdoptCrashWindow:
@@ -300,80 +301,90 @@ class TestAdoptCrashWindow:
         assert FederatedReplayStore.open(root).pending_removal == []
 
 
-class TestLazyMembers:
-    def test_stream_opens_no_members_up_front(self, tmp_path):
-        fed = make_federation(tmp_path / "fed", members=4, samples=8)
-        view = FederatedReplayStore.open(tmp_path / "fed").stream()
-        assert view.member_opens == 0
-        assert view.open_streams == 0
-        assert view.num_samples == fed.num_samples  # layout from the ledger
-        view.close()
-
+class TestMemberHandles:
     def test_open_handles_capped_by_lru(self, tmp_path):
-        fed = make_federation(tmp_path / "fed", members=6, samples=8)
-        view = fed.stream(max_open_streams=2)
-        data = view.gather(np.arange(view.num_samples))
-        assert data.shape == (FRAMES, 48, CHANNELS)
-        assert view.open_streams <= 2
-        assert view.member_opens >= 6  # every member was touched
-        view.close()
+        fed = make_federation(
+            tmp_path / "fed", members=MAX_OPEN_MEMBERS + 3, samples=8
+        )
+        reader = FederatedReplayStore.open(tmp_path / "fed")
+        assert reader.num_samples == (MAX_OPEN_MEMBERS + 3) * 8
+        assert len(reader._members) == MAX_OPEN_MEMBERS
+        # The least recently used handle was dropped; reopening it is
+        # transparent.
+        assert "task-0" not in reader._members
+        np.testing.assert_array_equal(
+            reader.member("task-0").labels, fed.member("task-0").labels
+        )
 
-    def test_eviction_reopens_transparently_and_bitwise(self, tmp_path):
-        fed = make_federation(tmp_path / "fed", members=5, samples=8)
-        dense = fed.stream().materialize()
-        view = fed.stream(max_open_streams=1)
-        rng = np.random.default_rng(0)
-        for _ in range(4):  # revisit members to force evict/reopen cycles
-            indices = np.sort(rng.integers(0, dense.shape[1], 16))
-            np.testing.assert_array_equal(
-                view.gather(indices), dense[:, indices, :]
-            )
-        assert view.open_streams == 1
-        assert view.member_opens > 5
-        view.close()
+    def test_recently_used_handle_survives_the_sweep(self, tmp_path):
+        make_federation(tmp_path / "fed", members=MAX_OPEN_MEMBERS + 1, samples=8)
+        reader = FederatedReplayStore.open(tmp_path / "fed")
+        first = reader.member("task-0")
+        for k in range(1, MAX_OPEN_MEMBERS):
+            reader.member(f"task-{k}")
+        assert reader.member("task-0") is first  # touched: now most recent
+        reader.member(f"task-{MAX_OPEN_MEMBERS}")  # evicts task-1, not task-0
+        assert reader.member("task-0") is first
+        assert "task-1" not in reader._members
 
-    def test_member_count_drift_is_loud(self, tmp_path):
-        fed = make_federation(tmp_path / "fed", members=2, samples=8)
-        view = fed.stream()
-        # Mutating a member behind the federation's back desyncs the
-        # persisted ledger; opening that member must fail, not misroute.
+    def test_counts_follow_direct_member_mutation(self, tmp_path):
+        make_federation(tmp_path / "fed", members=2, samples=8)
+        # The federation keeps no per-member count of its own, so a
+        # member rewritten behind its back is reported as it is on disk.
         ReplayStore.open(tmp_path / "fed" / "task-1").filter(np.arange(4))
-        with pytest.raises(StoreError, match="store was mutated"):
-            view.gather(np.arange(view.num_samples))
-        view.close()
+        fresh = FederatedReplayStore.open(tmp_path / "fed")
+        assert fresh.stats().member_samples == {"task-0": 8, "task-1": 4}
+        assert fresh.num_samples == 12
 
 
-class TestViewUnderRebalance:
+def _member_rasters(fed):
+    """``name -> (dense raster, labels)`` of every member, via streams."""
+    out = {}
+    for name, store in fed.members():
+        with ReplayStream(store) as stream:
+            out[name] = (stream.materialize(), stream.labels)
+    return out
+
+
+def _shrink_budget(root):
+    writer = FederatedReplayStore.open(root)
+    writer.configure(budget_bytes=(writer.num_samples // 2) * writer.sample_bytes)
+    return writer.rebalance()
+
+
+class TestMemberStreamUnderRebalance:
     def test_parity_then_clean_error(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
-        dense = fed.stream().materialize()
+        dense = _member_rasters(fed)
 
-        view = fed.stream()
-        indices = np.arange(0, dense.shape[1], 3)
-        np.testing.assert_array_equal(view.gather(indices), dense[:, indices, :])
-
-        writer = FederatedReplayStore.open(tmp_path / "fed")
-        writer.configure(
-            budget_bytes=(writer.num_samples // 2) * writer.sample_bytes
+        stream = ReplayStream(fed.member("task-0"))
+        indices = np.arange(0, 8, 3)
+        np.testing.assert_array_equal(
+            stream.gather(indices), dense["task-0"][0][:, indices, :]
         )
-        assert writer.rebalance() > 0
+        assert _shrink_budget(tmp_path / "fed") > 0
 
         with pytest.raises(StoreError, match="store was mutated"):
-            view.gather(np.arange(dense.shape[1]))
-        view.close()
+            stream.gather(np.arange(8))
+        stream.close()
 
-    def test_fresh_view_after_rebalance_is_bitwise(self, tmp_path):
+    def test_fresh_streams_hold_survivors_in_storage_order(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
-        writer = FederatedReplayStore.open(tmp_path / "fed")
-        writer.configure(
-            budget_bytes=(writer.num_samples // 2) * writer.sample_bytes
-        )
-        writer.rebalance()
+        before = _member_rasters(fed)
+        evicted = _shrink_budget(tmp_path / "fed")
 
-        fresh = FederatedReplayStore.open(tmp_path / "fed")
-        dense = fresh.stream().materialize()
-        view = fresh.stream()
-        np.testing.assert_array_equal(
-            view.gather(np.arange(dense.shape[1])), dense
-        )
-        view.close()
+        after = _member_rasters(FederatedReplayStore.open(tmp_path / "fed"))
+        assert sum(labels.size for _, labels in after.values()) == 24 - evicted
+        for name, (raster, labels) in after.items():
+            old_raster, old_labels = before[name]
+            # Each survivor is an old sample, in the old storage order.
+            positions = [
+                next(
+                    i
+                    for i in range(old_labels.size)
+                    if old_labels[i] == labels[column]
+                    and np.array_equal(old_raster[:, i, :], raster[:, column, :])
+                )
+                for column in range(labels.size)
+            ]
+            assert positions == sorted(set(positions))

@@ -1,16 +1,15 @@
-"""Tests for FederatedReplayStore: budgets, balance, composed views."""
+"""Tests for FederatedReplayStore: budgets, balance, index validation."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
 from repro.hw.memory import audit_federation
-from repro.replaystore import (
-    FederatedReplayStore,
-    FederatedReplayStream,
-    ReplayStore,
-    ReplayStream,
-)
+from repro.replaystore import FederatedReplayStore, ReplayStore, ReplayStream
+from repro.replaystore.federation import FEDERATION_INDEX_NAME
+from repro.replaystore.store import INDEX_NAME
 
 FRAMES, CHANNELS = 8, 12
 
@@ -99,9 +98,9 @@ class TestLifecycle:
         with pytest.raises(StoreError, match="budget_bytes"):
             FederatedReplayStore.create(tmp_path / "f", budget_bytes=0)
 
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown eviction policy"):
-            FederatedReplayStore.create(tmp_path / "f", policy="lru")
+    def test_create_takes_no_policy(self, tmp_path):
+        with pytest.raises(TypeError, match="policy"):
+            FederatedReplayStore.create(tmp_path / "f", policy="fifo")
 
     def test_member_names_must_be_plain(self, federation):
         for bad in ("", ".", "..", "a/b", "a\\b"):
@@ -119,23 +118,19 @@ class TestLifecycle:
         assert not (root / "task-1").exists()
 
     def test_configure_updates_and_persists(self, federation):
-        federation.configure(budget_bytes=1234, policy="fifo", seed=9)
+        federation.configure(budget_bytes=1234, seed=9)
         twin = FederatedReplayStore.open(federation.root)
         assert twin.budget_bytes == 1234
-        assert twin.policy == "fifo"
         assert twin.seed == 9
         with pytest.raises(StoreError, match="budget_bytes"):
             federation.configure(budget_bytes=0)
-        with pytest.raises(StoreError, match="unknown eviction policy"):
-            federation.configure(policy="lru")
 
 
 class TestGlobalBudget:
     """The core invariant: modelled bytes never exceed the budget."""
 
-    @pytest.mark.parametrize("policy", ["fifo", "reservoir", "class-balanced"])
-    def test_budget_holds_across_arrivals(self, tmp_path, policy):
-        fed = FederatedReplayStore.create(tmp_path / "fed", seed=5, policy=policy)
+    def test_budget_holds_across_arrivals(self, tmp_path):
+        fed = FederatedReplayStore.create(tmp_path / "fed", seed=5)
         rng = np.random.default_rng(0)
         budget = None
         for step in range(5):
@@ -194,11 +189,61 @@ class TestGlobalBudget:
         assert fed.num_samples == 16
 
 
+class TestRebalancePin:
+    def test_survivors_are_pinned(self, tmp_path):
+        # Golden survivors of a fixed three-step history: any change to
+        # the admission rule's draw order or the arrival order shows
+        # here before it forks a recorded trajectory.
+        fed = FederatedReplayStore.create(tmp_path / "fed", seed=21)
+        histories = [[0] * 10 + [1] * 4, [2] * 8 + [1] * 2, [3] * 6]
+        rasters = {}
+        for step, labels in enumerate(histories):
+            store = make_member(fed.root / f"t{step}", labels, seed=step)
+            rasters[f"t{step}"] = ReplayStream(store).materialize()
+            fed.adopt(f"t{step}")
+            if step == 0:
+                fed.configure(budget_bytes=9 * fed.sample_bytes)
+            fed.rebalance()
+        assert fed.rebalances == 3
+        survivors = {"t0": [0, 9, 12], "t1": [2, 7, 9], "t2": [1, 2, 5]}
+        for name, store in fed.members():
+            np.testing.assert_array_equal(
+                ReplayStream(store).materialize(),
+                rasters[name][:, survivors[name], :],
+            )
+        assert fed.labels.tolist() == [0, 0, 1, 2, 2, 1, 3, 3, 3]
+
+    def test_budget_below_one_sample_is_refused(self, federation):
+        federation.configure(budget_bytes=federation.sample_bytes - 1)
+        with pytest.raises(StoreError, match="holds no sample"):
+            federation.rebalance()
+        assert federation.num_samples == 18  # nothing was rewritten
+
+    def test_sample_bytes_is_the_storage_model(self, federation):
+        from repro.compression import TemporalSubsampleCodec
+        from repro.core.latent_replay import LatentReplayBuffer
+        from repro.hw.memory import latent_memory_bytes
+
+        raster = ReplayStream(federation.member("task-0")).materialize()
+        buffer = LatentReplayBuffer(
+            compressed=raster,
+            labels=federation.member("task-0").labels,
+            insertion_layer=0,
+            generated_timesteps=FRAMES,
+            codec=TemporalSubsampleCodec(1),
+        )
+        per_sample = buffer.storage_bytes() // buffer.num_samples
+        assert federation.sample_bytes == per_sample
+        # FRAMES * CHANNELS is a whole number of bytes, so per-sample
+        # packing and whole-buffer packing price the archive alike.
+        assert federation.model_bytes() == latent_memory_bytes(
+            FRAMES, federation.num_samples, CHANNELS
+        )
+
+
 class TestClassBalance:
     def test_balanced_across_skewed_members(self, tmp_path):
-        fed = FederatedReplayStore.create(
-            tmp_path / "fed", seed=13, policy="class-balanced"
-        )
+        fed = FederatedReplayStore.create(tmp_path / "fed", seed=13)
         make_member(fed.root / "t0", [0] * 30, seed=1)
         fed.adopt("t0")
         make_member(fed.root / "t1", [1] * 30, seed=2)
@@ -213,9 +258,7 @@ class TestClassBalance:
         assert fed.num_samples == 12
 
     def test_minority_class_survives_majority_pressure(self, tmp_path):
-        fed = FederatedReplayStore.create(
-            tmp_path / "fed", seed=17, policy="class-balanced"
-        )
+        fed = FederatedReplayStore.create(tmp_path / "fed", seed=17)
         make_member(fed.root / "rare", [5] * 2, seed=1)
         fed.adopt("rare")
         fed.configure(budget_bytes=8 * fed.sample_bytes)
@@ -224,47 +267,6 @@ class TestClassBalance:
             fed.adopt(f"flood-{step}")
             fed.rebalance()
             assert 5 in fed.class_counts()
-
-
-class TestComposedView:
-    def test_stream_matches_dense_concat(self, federation):
-        view = federation.stream()
-        dense = np.concatenate(
-            [
-                ReplayStream(store).materialize()
-                for _, store in federation.members()
-            ],
-            axis=1,
-        )
-        np.testing.assert_array_equal(view.materialize(), dense)
-        indices = np.random.default_rng(4).integers(0, view.num_samples, 25)
-        np.testing.assert_array_equal(view.gather(indices), dense[:, indices, :])
-        np.testing.assert_array_equal(view.labels, federation.labels)
-
-    def test_iteration_spans_members_in_order(self, federation):
-        shards = list(federation.stream())
-        labels = np.concatenate([lab for _, lab in shards])
-        np.testing.assert_array_equal(labels, federation.labels)
-
-    def test_gather_validates_indices(self, federation):
-        view = federation.stream()
-        with pytest.raises(StoreError, match="out of range"):
-            view.gather(np.asarray([view.num_samples]))
-        with pytest.raises(StoreError, match="1-D"):
-            view.gather(np.zeros((2, 2), dtype=np.int64))
-
-    def test_geometry_mismatch_rejected(self, tmp_path):
-        a = make_member(tmp_path / "a", [0, 1], seed=1)
-        b = make_member(tmp_path / "b", [0, 1], seed=2, frames=FRAMES * 2)
-        with pytest.raises(StoreError, match="geometry"):
-            FederatedReplayStream([ReplayStream(a), ReplayStream(b)])
-
-    def test_empty_stream_rejected(self, tmp_path):
-        fed = FederatedReplayStore.create(tmp_path / "fed")
-        with pytest.raises(StoreError, match="no samples"):
-            fed.stream()
-        with pytest.raises(StoreError, match="at least one"):
-            FederatedReplayStream([])
 
 
 class TestAudit:
@@ -296,3 +298,138 @@ class TestAudit:
         fed = FederatedReplayStore.create(tmp_path / "fed")
         with pytest.raises(ConfigError, match="no members"):
             audit_federation(fed)
+
+
+def _edit_index(path, **fields):
+    """Rewrite JSON index ``path`` with ``fields`` replaced."""
+    payload = json.loads(path.read_text())
+    payload.update(fields)
+    path.write_text(json.dumps(payload))
+
+
+class TestIndexCompatibility:
+    @pytest.mark.parametrize("policy", ["fifo", "reservoir"])
+    def test_other_policy_is_refused(self, federation, policy):
+        _edit_index(federation.root / FEDERATION_INDEX_NAME, policy=policy)
+        with pytest.raises(StoreError, match=repr(policy)):
+            FederatedReplayStore.open(federation.root)
+
+    def test_index_records_the_admission_rule(self, federation):
+        payload = json.loads((federation.root / FEDERATION_INDEX_NAME).read_text())
+        assert payload["policy"] == "class-balanced"
+        assert "member_samples" not in payload
+
+    def test_legacy_member_samples_ledger_still_opens(self, federation):
+        # Older indexes carried a per-member sample ledger; it is ignored
+        # on open and dropped at the next commit.
+        index = federation.root / FEDERATION_INDEX_NAME
+        _edit_index(index, member_samples={"task-0": 12, "task-1": 6})
+        twin = FederatedReplayStore.open(federation.root)
+        assert twin.num_samples == 18
+        twin.configure(seed=4)
+        assert "member_samples" not in json.loads(index.read_text())
+
+
+_SHARD = {
+    "file": "shard-00000.bin",
+    "codec": "bitpack",
+    "payload_bytes": 1,
+    "payload_offset": 0,
+}
+
+
+def _index_of(federation, kind):
+    """``(index path, opener of its directory)`` for one index kind."""
+    if kind == "federation":
+        return federation.root / FEDERATION_INDEX_NAME, FederatedReplayStore.open
+    return federation.root / "task-0" / INDEX_NAME, ReplayStore.open
+
+
+class TestMalformedIndex:
+    """A bad index value is a StoreError naming the file and the field."""
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("federation", "budget_bytes", "x"),
+            ("federation", "budget_bytes", -5),
+            ("federation", "budget_bytes", 0),
+            ("federation", "seed", "x"),
+            ("federation", "seed", 1.5),
+            ("federation", "rebalances", "x"),
+            ("federation", "rebalances", -1),
+            ("federation", "members", 5),
+            ("federation", "members", [3]),
+            ("federation", "members", ["../outside"]),
+            ("federation", "members", ["task-0", "task-0"]),
+            ("federation", "pending_removal", "step-000"),
+            ("federation", "pending_removal", ["a/b"]),
+            ("federation", "geometry", 5),
+            ("federation", "geometry", {"stored_frames": 8}),
+            ("store", "generation", "x"),
+            ("store", "generation", -1),
+            ("store", "generation", True),
+            ("store", "tombstones", 5),
+            ("store", "tombstones", [{"file": "shard-00000.bin"}]),
+            ("store", "tombstones", [{"file": 3, "generation": 0}]),
+            ("store", "meta", 5),
+            ("store", "meta", {"stored_frames": "x"}),
+            ("store", "shards", 5),
+            ("store", "shards", [5]),
+            ("store", "shards", [{**_SHARD, "num_samples": "x", "labels": []}]),
+            ("store", "shards", [{**_SHARD, "num_samples": 2, "labels": [0]}]),
+        ],
+    )
+    def test_bad_field_is_store_error(self, federation, kind, key, value):
+        index, opener = _index_of(federation, kind)
+        _edit_index(index, **{key: value})
+        with pytest.raises(StoreError) as caught:
+            opener(index.parent)
+        assert str(index) in str(caught.value)
+        assert repr(key) in str(caught.value)
+
+    def test_missing_budget_is_malformed(self, federation):
+        index = federation.root / FEDERATION_INDEX_NAME
+        payload = json.loads(index.read_text())
+        del payload["budget_bytes"]
+        index.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="'budget_bytes'"):
+            FederatedReplayStore.open(federation.root)
+
+    @pytest.mark.parametrize("kind", ["federation", "store"])
+    def test_non_object_index_is_store_error(self, federation, kind):
+        index, opener = _index_of(federation, kind)
+        index.write_text("[]")
+        with pytest.raises(StoreError, match="version"):
+            opener(index.parent)
+
+    def test_minimal_federation_index_opens(self, federation):
+        # The oldest index layout: no rebalance counter, crash ledger,
+        # geometry or admission rule recorded.
+        index = federation.root / FEDERATION_INDEX_NAME
+        index.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "budget_bytes": None,
+                    "seed": 3,
+                    "members": ["task-0", "task-1"],
+                }
+            )
+        )
+        twin = FederatedReplayStore.open(federation.root)
+        assert (twin.rebalances, twin.pending_removal, twin.geometry) == (0, [], None)
+        assert twin.sample_bytes == federation.sample_bytes  # from a member
+        twin.configure(budget_bytes=9 * twin.sample_bytes)
+        assert twin.rebalance() == 9
+        assert json.loads(index.read_text())["geometry"] is None
+
+    def test_minimal_store_index_opens(self, federation):
+        index = federation.root / "task-0" / INDEX_NAME
+        payload = json.loads(index.read_text())
+        del payload["generation"], payload["tombstones"]
+        index.write_text(json.dumps(payload))
+        store = ReplayStore.open(index.parent)
+        assert (store.generation, store.tombstones) == (0, [])
+        assert store.num_samples == 12
+

@@ -1,68 +1,44 @@
-"""Deterministic unit tests for the admission/eviction policies."""
+"""Deterministic unit tests for the federation's class-balanced admission."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
-from repro.replaystore import (
-    ClassBalancedPolicy,
-    FIFOPolicy,
-    ReservoirPolicy,
-    get_policy,
-)
+from repro.replaystore import class_balanced_admit
 
 
-def _drive(policy, labels, capacity, seed=0):
-    """Feed a label stream through a policy; return the kept labels."""
+def _slot_reference(labels, capacity, seed):
+    """Arrival-by-arrival reference: recount the kept set every step.
+
+    Pins the RNG draw order of :func:`class_balanced_admit` — one draw
+    per full-buffer arrival, evict-branch or reservoir-branch — so a
+    rebalance keeps the same survivors bitwise.
+    """
     rng = np.random.default_rng(seed)
-    policy.reset()
-    kept: list[int] = []
+    kept, seen = [], {}
     for label in labels:
-        slot = policy.admit(int(label), kept, capacity, rng)
-        if slot is None:
+        seen[label] = seen.get(label, 0) + 1
+        if len(kept) < capacity:
+            kept.append(label)
             continue
-        if slot == len(kept):
-            kept.append(int(label))
-        else:
-            kept[slot] = int(label)
+        counts = {c: kept.count(c) for c in set(kept)}
+        top = max(counts.values())
+        if counts.get(label, 0) < top:
+            victim = min(c for c, n in counts.items() if n == top)
+            slots = [i for i, k in enumerate(kept) if k == victim]
+            kept[slots[int(rng.integers(0, len(slots)))]] = label
+            continue
+        draw = int(rng.integers(0, seen[label]))
+        if draw < counts[label]:
+            kept[[i for i, k in enumerate(kept) if k == label][draw]] = label
     return kept
 
 
-class TestFIFO:
-    def test_fills_then_evicts_oldest(self):
-        kept = _drive(FIFOPolicy(), range(10), capacity=4)
-        # Slots wrap: 8 replaced slot 0 (holding 0, the oldest), etc.
-        assert kept == [8, 9, 6, 7]
-
-    def test_under_capacity_keeps_everything(self):
-        assert _drive(FIFOPolicy(), [3, 1, 2], capacity=5) == [3, 1, 2]
-
-    def test_reset_restarts_pointer(self):
-        policy = FIFOPolicy()
-        _drive(policy, range(10), capacity=4)
-        assert _drive(policy, range(4), capacity=4) == [0, 1, 2, 3]
-
-
-class TestReservoir:
-    def test_uniform_over_stream(self):
-        # Every stream position should land in the reservoir with
-        # probability capacity/n; check the empirical rate over repeats.
-        hits = np.zeros(100)
-        for seed in range(300):
-            kept = _drive(ReservoirPolicy(), range(100), capacity=10, seed=seed)
-            hits[kept] += 1
-        rates = hits / 300
-        assert abs(rates.mean() - 0.1) < 0.01
-        # Early positions must not dominate late ones.
-        assert abs(rates[:50].mean() - rates[50:].mean()) < 0.04
-
-    def test_deterministic_given_seed(self):
-        a = _drive(ReservoirPolicy(), range(50), capacity=8, seed=7)
-        b = _drive(ReservoirPolicy(), range(50), capacity=8, seed=7)
-        assert a == b
-
-    def test_under_capacity_admits_all(self):
-        assert _drive(ReservoirPolicy(), [5, 6], capacity=4) == [5, 6]
+def _drive(labels, capacity, seed=0):
+    """Feed a label stream through admission; return the kept labels."""
+    labels = list(labels)
+    kept = class_balanced_admit(labels, capacity, np.random.default_rng(seed))
+    return [int(labels[position]) for position in kept]
 
 
 class TestClassBalanced:
@@ -70,7 +46,7 @@ class TestClassBalanced:
         # 30 samples of class 0 then 6 of class 1: a balanced buffer
         # should end close to 50/50, not 90/10.
         labels = [0] * 30 + [1] * 6
-        kept = _drive(ClassBalancedPolicy(), labels, capacity=8, seed=3)
+        kept = _drive(labels, capacity=8, seed=3)
         counts = {c: kept.count(c) for c in set(kept)}
         assert counts[1] >= 3
         assert len(kept) == 8
@@ -79,38 +55,54 @@ class TestClassBalanced:
         # Once a rare class is in, further majority arrivals cannot push
         # it out (they only ever displace the largest class).
         labels = [0] * 4 + [1] + [0] * 40
-        kept = _drive(ClassBalancedPolicy(), labels, capacity=4, seed=0)
+        kept = _drive(labels, capacity=4, seed=0)
         assert 1 in kept
 
     def test_within_class_reservoir(self):
         # Single class: behaves as a reservoir, stays at capacity.
-        kept = _drive(ClassBalancedPolicy(), [2] * 50, capacity=6, seed=1)
+        kept = _drive([2] * 50, capacity=6, seed=1)
         assert len(kept) == 6
         assert set(kept) == {2}
 
     def test_deterministic_given_seed(self):
         labels = list(range(4)) * 10
-        a = _drive(ClassBalancedPolicy(), labels, capacity=6, seed=9)
-        b = _drive(ClassBalancedPolicy(), labels, capacity=6, seed=9)
+        a = _drive(labels, capacity=6, seed=9)
+        b = _drive(labels, capacity=6, seed=9)
         assert a == b
 
 
+class TestAdmissionContract:
+    def test_returns_positions_in_slot_order(self):
+        # Two class-0 arrivals fill the buffer; the class-1 arrival
+        # overwrites one of their slots in place.
+        for seed in range(4):
+            kept = class_balanced_admit([0, 0, 1], 2, np.random.default_rng(seed))
+            assert kept in ([2, 1], [0, 2])
+
+    def test_empty_stream_keeps_nothing(self):
+        assert class_balanced_admit([], 4, np.random.default_rng(0)) == []
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_capacity_must_hold_a_sample(self, capacity):
+        with pytest.raises(StoreError, match="capacity"):
+            class_balanced_admit([0, 1], capacity, np.random.default_rng(0))
+
+
 class TestSeedSweep:
-    """Policy invariants must hold for *every* seed, not the lucky one.
+    """Admission invariants must hold for *every* seed, not the lucky one.
 
     The deterministic tests above pin one RNG draw each; these sweep a
-    handful of seeds so reservoir/class-balanced guarantees are
-    properties of the algorithm, not artefacts of a particular stream
-    of random numbers.
+    handful of seeds so the class-balanced guarantees are properties of
+    the algorithm, not artefacts of a particular stream of random
+    numbers.
     """
 
     SEEDS = [0, 1, 7, 13, 101]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", ["fifo", "reservoir", "class-balanced"])
-    def test_capacity_respected_and_labels_from_stream(self, name, seed):
+    def test_capacity_respected_and_labels_from_stream(self, seed):
         labels = np.random.default_rng(seed).integers(0, 6, 80).tolist()
-        kept = _drive(get_policy(name), labels, capacity=12, seed=seed)
+        kept = _drive(labels, capacity=12, seed=seed)
         assert len(kept) == 12
         stream_counts = {c: labels.count(c) for c in set(labels)}
         for c in set(kept):
@@ -119,23 +111,14 @@ class TestSeedSweep:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_under_capacity_keeps_everything(self, seed):
         labels = np.random.default_rng(seed).integers(0, 3, 9).tolist()
-        for name in ("fifo", "reservoir", "class-balanced"):
-            assert _drive(get_policy(name), labels, capacity=20, seed=seed) == labels
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_reservoir_deterministic_and_reset_clean(self, seed):
-        policy = ReservoirPolicy()
-        first = _drive(policy, range(60), capacity=9, seed=seed)
-        again = _drive(policy, range(60), capacity=9, seed=seed)  # reset() path
-        fresh = _drive(ReservoirPolicy(), range(60), capacity=9, seed=seed)
-        assert first == again == fresh
+        assert _drive(labels, capacity=20, seed=seed) == labels
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_class_balanced_spread_on_round_robin(self, seed):
         # Equal interleaved arrivals: per-class counts may never drift
         # further than one apart, whatever the eviction draws do.
         labels = list(range(4)) * 15
-        kept = _drive(ClassBalancedPolicy(), labels, capacity=10, seed=seed)
+        kept = _drive(labels, capacity=10, seed=seed)
         counts = [kept.count(c) for c in range(4)]
         assert sum(counts) == 10
         assert max(counts) - min(counts) <= 1
@@ -145,7 +128,7 @@ class TestSeedSweep:
         # A class with >= capacity//num_classes arrivals keeps at least
         # that many slots under skewed pressure (no starvation).
         labels = [0] * 40 + [1] * 4 + [0] * 40
-        kept = _drive(ClassBalancedPolicy(), labels, capacity=8, seed=seed)
+        kept = _drive(labels, capacity=8, seed=seed)
         assert kept.count(1) == 4
         assert len(kept) == 8
 
@@ -153,15 +136,13 @@ class TestSeedSweep:
     def test_class_balanced_never_goes_extinct(self, seed):
         rng = np.random.default_rng(seed)
         labels = rng.permutation([0] * 50 + [1] * 8 + [2] * 8).tolist()
-        kept = _drive(ClassBalancedPolicy(), labels, capacity=9, seed=seed)
+        kept = _drive(labels, capacity=9, seed=seed)
         assert set(kept) == {0, 1, 2}
 
-
-class TestRegistry:
-    @pytest.mark.parametrize("name", ["fifo", "reservoir", "class-balanced"])
-    def test_get_policy(self, name):
-        assert get_policy(name).name == name
-
-    def test_unknown_name(self):
-        with pytest.raises(StoreError, match="unknown eviction policy"):
-            get_policy("lru")
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_slot_reference(self, seed):
+        labels = np.random.default_rng(seed).integers(0, 5, 120).tolist()
+        labels += [0] * 30 + [4] * 3
+        assert _drive(labels, capacity=11, seed=seed) == _slot_reference(
+            labels, capacity=11, seed=seed
+        )

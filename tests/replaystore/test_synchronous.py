@@ -1,8 +1,9 @@
 """Store-backed replay reads run inline on the calling thread.
 
 Every lazy replay source — a single-store :class:`ReplayStream`, the
-dense+stored :class:`ConcatReplaySource` the NCL step trains on, and the
-class-spanning :class:`FederatedReplayStream` — decodes shards inside
+dense+stored :class:`ConcatReplaySource` the NCL step trains on, and a
+stream over a federation member rewritten by an evicting rebalance
+(ragged shards of a later generation) — decodes shards inside
 ``gather``.  These tests pin both halves of that contract: gathers equal
 fancy indexing on the dense array for every index pattern the loader
 can produce, and no thread is ever started to serve them.
@@ -54,6 +55,16 @@ def sources(tmp_path):
     _write_store(tmp_path / "fed" / "task-1", second, np.ones(5))
     fed.adopt("task-0")
     fed.adopt("task-1")
+    fed.configure(budget_bytes=10 * fed.sample_bytes)
+    assert fed.rebalance() == 4  # class 0 evicted down to 5 survivors
+    member = fed.member("task-0")
+    survivors = np.asarray(
+        [
+            next(i for i in range(9) if np.array_equal(first[:, i], column))
+            for column in np.moveaxis(ReplayStream(member).materialize(), 1, 0)
+        ]
+    )
+    assert survivors.size == 5 and (np.diff(survivors) > 0).all()
 
     return {
         "stream": (lambda: ReplayStream(store), stored),
@@ -61,10 +72,7 @@ def sources(tmp_path):
             lambda: ConcatReplaySource(dense_half, ReplayStream(store)),
             np.concatenate([dense_half, stored], axis=1),
         ),
-        "federated": (
-            lambda: fed.stream(),
-            np.concatenate([first, second], axis=1),
-        ),
+        "rebalanced": (lambda: ReplayStream(member), first[:, survivors, :]),
     }
 
 
@@ -94,14 +102,14 @@ def started_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("pattern", sorted(_PATTERNS))
-@pytest.mark.parametrize("source", ["stream", "concat", "federated"])
+@pytest.mark.parametrize("source", ["stream", "concat", "rebalanced"])
 def test_gather_matches_dense_indexing(sources, source, pattern):
     factory, dense = sources[source]
     indices = _PATTERNS[pattern](dense.shape[1])
     np.testing.assert_array_equal(factory().gather(indices), dense[:, indices, :])
 
 
-@pytest.mark.parametrize("source", ["stream", "concat", "federated"])
+@pytest.mark.parametrize("source", ["stream", "concat", "rebalanced"])
 def test_gather_starts_no_thread(sources, source, started_threads):
     factory, dense = sources[source]
     lazy = factory()

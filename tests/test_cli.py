@@ -248,6 +248,17 @@ class TestStoreCommands:
         assert main(["store", "stats", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_index_is_clean_error(self, capsys, store_dir):
+        import json
+        from pathlib import Path
+
+        index = Path(store_dir) / "index.json"
+        index.write_text(
+            json.dumps({**json.loads(index.read_text()), "generation": "x"})
+        )
+        assert main(["store", "stats", store_dir]) == 2
+        assert "'generation'" in capsys.readouterr().err
+
 
 class TestStoreFederate:
     @pytest.fixture
@@ -299,11 +310,35 @@ class TestStoreFederate:
         ) == 0
         assert "adopted task-1" in capsys.readouterr().out
 
-    def test_unknown_policy_is_clean_error(self, capsys, federation_root):
-        assert main(
-            ["store", "federate", federation_root, "--policy", "lru"]
-        ) == 2
-        assert "unknown eviction policy" in capsys.readouterr().err
+    def test_policy_flag_is_rejected(self, capsys, federation_root):
+        # Class-balanced eviction is the federation's only rule.
+        with pytest.raises(SystemExit) as caught:
+            main(["store", "federate", federation_root, "--policy", "fifo"])
+        assert caught.value.code == 2
+        assert "--policy" in capsys.readouterr().err
+
+    def test_foreign_policy_index_is_clean_error(self, capsys, federation_root):
+        import json
+        from pathlib import Path
+
+        assert main(["store", "federate", federation_root]) == 0
+        capsys.readouterr()
+        index = Path(federation_root) / "federation.json"
+        index.write_text(
+            json.dumps({**json.loads(index.read_text()), "policy": "reservoir"})
+        )
+        assert main(["store", "federate", federation_root]) == 2
+        assert "'reservoir'" in capsys.readouterr().err
+
+    def test_seed_retrofits_onto_existing_federation(
+        self, capsys, federation_root
+    ):
+        from repro.replaystore import FederatedReplayStore
+
+        assert main(["store", "federate", federation_root]) == 0
+        assert main(["store", "federate", federation_root, "--seed", "7"]) == 0
+        federation = FederatedReplayStore.open(federation_root)
+        assert (federation.seed, federation.budget_bytes) == (7, None)
 
     def test_budget_retrofits_onto_existing_federation(
         self, capsys, federation_root
