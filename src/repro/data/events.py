@@ -41,8 +41,13 @@ class EventStream:
     duration: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        channels = np.asarray(self.channels, dtype=np.int64)
+        # Read-only views: a stream may be shared by several datasets (see
+        # SyntheticSHD.pooled), so a write through one must not reach the
+        # others.  Viewing leaves the caller's own arrays writable.
+        times = np.asarray(self.times, dtype=np.float64).view()
+        channels = np.asarray(self.channels, dtype=np.int64).view()
+        times.flags.writeable = False
+        channels.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "channels", channels)
         if times.ndim != 1 or channels.ndim != 1:

@@ -27,16 +27,23 @@ The generator is fully deterministic given ``(config, seed)``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.data.datasets import SpikeDataset
 from repro.data.events import EventStream
 from repro.errors import ConfigError, DataError
 from repro.seeding import spawn
 
 __all__ = ["SyntheticSHDConfig", "SyntheticSHD"]
+
+#: Sample-id offset of the test split: train uses ids ``0..n-1``, test
+#: ``TEST_OFFSET + 0..n-1``, so the splits never share a draw as long as
+#: ``n <= TEST_OFFSET``.
+TEST_OFFSET = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,24 @@ class SyntheticSHD:
         self._prototypes = [
             self._make_prototype(c) for c in range(config.num_classes)
         ]
+        # Recordings already synthesized, keyed by (class_id, sample_id);
+        # None on a plain generator (see pooled()).
+        self._pool: dict[tuple[int, int], EventStream] | None = None
+
+    def pooled(self) -> "SyntheticSHD":
+        """Return a copy of this generator with an empty sample pool.
+
+        The copy shares this one's config, seed, anchors and prototypes;
+        its :meth:`generate_dataset` synthesizes each ``(class_id,
+        sample_id)`` once and reuses it afterwards.  The pool lives as
+        long as the copy; ``self`` is left untouched.  Reuse is
+        bitwise-exact because :meth:`generate` is a pure function of
+        ``(seed, class, sample)``, and safe because an
+        :class:`EventStream`'s arrays are read-only.
+        """
+        clone = copy.copy(self)
+        clone._pool = {}
+        return clone
 
     @property
     def anchors(self) -> np.ndarray:
@@ -227,19 +252,21 @@ class SyntheticSHD:
                 warp = float(np.clip(rng.normal(1.0, cfg.time_warp_std), 0.7, 1.3))
                 onset = onset * warp
                 offset = min(offset * warp, 1.0)
-            # Active window envelope (smooth rise/fall).
+            # Active window envelope (smooth rise/fall), evaluated only on
+            # the rows inside the window: outside it the envelope is 0 and
+            # the full-grid sum would add exactly +0.0.
             span = max(offset - onset, 1e-3)
             phase = (grid_t - onset) / span
-            envelope = np.where(
-                (phase >= 0) & (phase <= 1), np.sin(np.pi * np.clip(phase, 0, 1)), 0.0
-            )
+            active = (phase >= 0) & (phase <= 1)
+            phase = phase[active]
+            envelope = np.sin(np.pi * phase)
             # Channel centre sweeps from start to end with quadratic bend.
             centre = start + (end - start) * phase + curve * phase * (1 - phase)
             gauss = np.exp(
                 -0.5
                 * ((channels[None, :] - centre[:, None]) / cfg.channel_bandwidth) ** 2
             )
-            field += cfg.peak_rate * traj.intensity * envelope[:, None] * gauss
+            field[active] += cfg.peak_rate * traj.intensity * envelope[:, None] * gauss
         return field
 
     def generate(self, class_id: int, sample_id: int) -> EventStream:
@@ -272,22 +299,39 @@ class SyntheticSHD:
         """Generate a labelled dataset.
 
         ``split`` offsets the sample ids so train/test never share draws:
-        train uses ids ``0..n-1``, test uses ``10_000 + 0..n-1``.
+        train uses ids ``0..n-1``, test uses ``TEST_OFFSET + 0..n-1``
+        (hence ``n`` may not exceed ``TEST_OFFSET``).  On a
+        :meth:`pooled` generator each recording is synthesized at most
+        once and shared by every dataset that contains it.
         """
         if samples_per_class <= 0:
             raise DataError(f"samples_per_class must be positive, got {samples_per_class}")
+        if samples_per_class > TEST_OFFSET:
+            raise DataError(
+                f"samples_per_class must be <= {TEST_OFFSET} (the test split's "
+                f"sample-id offset), got {samples_per_class}"
+            )
         if split not in ("train", "test"):
             raise DataError(f"split must be 'train' or 'test', got {split!r}")
-        offset = 0 if split == "train" else 10_000
+        offset = 0 if split == "train" else TEST_OFFSET
         classes = list(range(self.config.num_classes)) if classes is None else classes
         for c in classes:
             self._check_class(c)
+        pool = {} if self._pool is None else self._pool
+        misses = 0
         streams: list[EventStream] = []
         labels: list[int] = []
         for class_id in classes:
-            for sample_id in range(samples_per_class):
-                streams.append(self.generate(class_id, offset + sample_id))
+            for sample_id in range(offset, offset + samples_per_class):
+                stream = pool.get((class_id, sample_id))
+                if stream is None:
+                    stream = pool[class_id, sample_id] = self.generate(class_id, sample_id)
+                    misses += 1
+                streams.append(stream)
                 labels.append(class_id)
+        if self._pool is not None:
+            obs.count("data.pool_hits", len(streams) - misses)
+            obs.count("data.pool_misses", misses)
         return SpikeDataset(
             streams=streams,
             labels=np.asarray(labels, dtype=np.int64),

@@ -37,9 +37,13 @@ seed (asserted in ``tests/scenario/test_combinators.py``).
 
 All built-ins are lazy: datasets materialise only as ``steps()`` is
 iterated — class streams generate step k's datasets only when the
-iterator reaches it.  Everything is deterministic given
-``(generator, experiment)`` — per-step randomness is spawned from
-``experiment.seed``.
+iterator reaches it.  Laziness bounds what a step *builds*, not what a
+run *keeps*: ``run_scenario`` iterates over a pooled generator
+(:meth:`~repro.data.synthetic_shd.SyntheticSHD.pooled`), which holds
+every recording it synthesizes until the run returns — at most classes
+× (train + test samples per class) streams, 240 at ``bench`` scale.
+Everything is deterministic given ``(generator, experiment)`` —
+per-step randomness is spawned from ``experiment.seed``.
 
 Each built-in also declares ``disjoint_eval``: ``True`` promises that
 every step's ``new_test`` covers only that step's new classes, disjoint
@@ -147,9 +151,12 @@ def iter_sequential_splits(
     Step k's datasets materialise only when the iterator reaches it
     (:meth:`~repro.data.synthetic_shd.SyntheticSHD.generate_dataset`
     derives every sample from ``(seed, class, sample)`` alone, so lazy
-    and eager construction are bitwise-identical) — long streams never
-    hold all their data at once.  Parameters are validated before the
-    first split is built.
+    and eager construction are bitwise-identical).  Every step rebuilds
+    its old-class sets; on a pooled generator (as ``run_scenario``
+    uses) those repeats reuse the recordings already synthesized, which
+    the pool keeps until the run returns — at most classes × (train +
+    test samples per class) streams.  Parameters are validated before
+    the first split is built.
     """
     num_classes = generator.config.num_classes
     needed = base_classes + steps * classes_per_step

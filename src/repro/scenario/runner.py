@@ -422,7 +422,9 @@ def run_scenario(
         if generator is None:
             generator = SyntheticSHD(preset.shd, seed=experiment.seed)
 
-    step_iter = iter(scenario.steps(generator, experiment))
+    # A run-scoped pool: every recording the steps share is synthesized
+    # once per run, while the caller's generator stays stateless.
+    step_iter = iter(scenario.steps(generator.pooled(), experiment))
     try:
         first = next(step_iter)
     except StopIteration:

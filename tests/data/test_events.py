@@ -53,6 +53,24 @@ class TestValidation:
         assert s.mean_rate() == 0.0
 
 
+class TestReadOnly:
+    def test_event_arrays_are_read_only(self):
+        s = make_stream([0.1, 0.5], [2, 7])
+        assert not s.times.flags.writeable and not s.channels.flags.writeable
+        with pytest.raises(ValueError):
+            s.times[0] = 0.2
+        with pytest.raises(ValueError):
+            s.channels[0] = 3
+
+    def test_callers_arrays_stay_writable(self):
+        times = np.array([0.1, 0.5])
+        channels = np.array([2, 7], dtype=np.int64)
+        EventStream(times=times, channels=channels, num_channels=10, duration=1.0)
+        times[0] = 0.2
+        channels[0] = 3
+        assert times.flags.writeable and channels.flags.writeable
+
+
 class TestToDense:
     def test_shape(self):
         raster = make_stream([0.1], [3]).to_dense(20)
