@@ -3,10 +3,10 @@
 Wall-clock benchmarks of the storage engine's hot paths, sized by
 ``REPRO_BENCH_SCALE`` like the other micro benches:
 
-- ``encode``/``decode`` — the per-shard codec round-trip (the cost a
-  store-backed epoch pays per cache miss);
-- ``stream_gather`` — shuffled minibatch gathers through the LRU'd
-  :class:`ReplayStream`, i.e. the actual replay path;
+- ``encode``/``decode`` — the per-shard codec round-trip;
+- ``stream_gather`` — open a :class:`ReplayStream` (every shard decoded
+  once) and serve shuffled minibatch gathers from it, i.e. the actual
+  replay path of one epoch;
 - ``dense_gather`` — the same access pattern on the resident array, the
   price-of-admission comparison for going disk-backed.
 """
@@ -78,13 +78,13 @@ def test_shard_decode(benchmark, workload):
 
 def test_stream_gather(benchmark, store, workload):
     raster, _, _ = workload
-    stream = ReplayStream(store, cache_shards=2)
     rng = np.random.default_rng(1)
     batches = [
         rng.choice(raster.shape[1], size=16, replace=False) for _ in range(8)
     ]
 
     def epoch():
+        stream = ReplayStream(store)
         for batch in batches:
             stream.gather(batch)
 

@@ -6,9 +6,8 @@ stream runs.  Three acts:
 
 1. **Store-federated sequential NCL** — a 3-step class-incremental
    stream where every step persists its latent replay into a member
-   store of one `FederatedReplayStore` and trains through a lazy shard
-   stream; peak resident replay memory is measured
-   per step and compared against the dense buffer it replaces.
+   store of one `FederatedReplayStore`; each step reads its member back
+   once, decoding every shard exactly once, and trains from that array.
 2. **Global budget** — the same stream under a hard byte budget across
    *all* steps' stores: after each step the federation rebalances,
    evicting across members class-balancedly, and the archive never
@@ -64,7 +63,7 @@ def federated_run(stream, workdir: Path):
     print(result.describe())
     federation = FederatedReplayStore.open(result.store_root)
     print(f"\nfederation: {federation!r}")
-    for k, step in enumerate(result.steps):
+    for k in range(len(result.steps)):
         member = federation.member(f"step-{k:03d}")
         dense_bytes = (
             4 * member.meta.stored_frames * member.num_samples
@@ -72,9 +71,8 @@ def federated_run(stream, workdir: Path):
         )
         print(
             f"  step {k}: replay classes {sorted(set(member.labels.tolist()))}, "
-            f"peak resident {step.replay_peak_resident_bytes} B "
-            f"vs {dense_bytes} B dense "
-            f"({step.replay_peak_resident_bytes / dense_bytes:.0%})"
+            f"{member.num_samples} samples in {member.num_shards} shards, "
+            f"decoded once per phase into {dense_bytes} B"
         )
     audit = audit_federation(federation)
     print(

@@ -37,8 +37,9 @@ class ReplaySpec:
         :class:`~repro.replaystore.federation.FederatedReplayStore` root
         and each step writes member store ``step-<k>`` beneath it.
     shard_samples:
-        Samples per shard (decode granularity) of the store-backed path;
-        ``None`` keeps the store default.
+        Samples per shard file of the store-backed path (the unit of
+        encoding and codec choice; a replay read decodes every shard
+        once); ``None`` keeps the store default.
     overwrite:
         Replace an existing store/federation at ``store_dir`` instead of
         refusing to clobber it (the re-run switch).

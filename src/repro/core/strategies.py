@@ -85,10 +85,6 @@ class NCLResult:
     #: Directory of the on-disk replay store when the run used the
     #: store-backed path (``ReplaySpec.store_dir``); None for in-memory runs.
     replay_store_path: str | None = None
-    #: Measured high-water mark of decoded replay bytes resident during
-    #: store-backed training (the stream's LRU residency); 0 for
-    #: in-memory runs, where the whole buffer is always resident.
-    replay_peak_resident_bytes: int = 0
     #: Spans + metrics this run recorded (see :mod:`repro.obs`); None
     #: unless tracing was enabled (``REPRO_TRACE``/``obs.use_recorder``).
     trace: obs.TraceReport | None = None
@@ -190,15 +186,13 @@ class NCLMethod:
         persisted as a sharded
         :class:`~repro.replaystore.store.ReplayStore` at that directory
         (streamed chunk-by-chunk when no generation controller is
-        active, so not even generation holds the dense buffer), and
-        training pulls replay minibatches through a lazy
-        :class:`~repro.replaystore.stream.ReplayStream` (shard-at-a-time
-        decode).  The training trajectory is bitwise-identical to the
-        in-memory path at the same seed — shard codecs are lossless and
-        the minibatch order is unchanged — while peak resident replay
-        memory stays bounded by the stream's decode cache: two decoded
-        shards, i.e. ``2 * spec.shard_samples`` dense samples (measured
-        into ``NCLResult.replay_peak_resident_bytes``).
+        active, so not even generation holds the dense buffer).  Before
+        training, a :class:`~repro.replaystore.stream.ReplayStream` reads
+        the store back once, decoding each shard exactly once under the
+        store's lock, and the phase trains from that one resident array
+        as the in-memory path does.  The training trajectory is
+        bitwise-identical to the in-memory path at the same seed — shard
+        codecs are lossless and the minibatch order is unchanged.
 
         Per-epoch evaluation follows the same latent-replay idea: the
         frozen front runs once per phase per test set, and each epoch
@@ -274,7 +268,6 @@ class NCLMethod:
         latent_frames = 0
         decompressed_cells = 0
         store_path: str | None = None
-        stream = None
         if buffer is not None:
             latent_bytes = buffer.storage_bytes()
             latent_frames = buffer.stored_frames
@@ -302,8 +295,10 @@ class NCLMethod:
                     * store.num_samples
                     * store.meta.num_channels
                 )
-            stream = ReplayStream(store, decompress=self.decompress_for_replay())
-            train_inputs = ConcatReplaySource(new_activations, stream)
+            train_inputs = ConcatReplaySource(
+                new_activations,
+                ReplayStream(store, decompress=self.decompress_for_replay()),
+            )
             train_labels = np.concatenate([new_labels, store.labels])
             store_path = str(store.root)
         else:
@@ -361,10 +356,6 @@ class NCLMethod:
                     "overall_accuracy": lambda: accuracy("old", "new"),
                 },
             )
-        peak_resident = 0
-        if stream is not None:
-            stream.close()  # release the reader pin
-            peak_resident = stream.peak_cache_bytes
 
         epoch_costs = self._collect_epoch_costs(
             trainer, network, insertion, new_inputs, decompressed_cells, timesteps
@@ -387,7 +378,6 @@ class NCLMethod:
             prepare_cost=prepare_cost,
             network=network,
             replay_store_path=store_path,
-            replay_peak_resident_bytes=peak_resident,
             trace=trace,
         )
 

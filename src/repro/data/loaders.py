@@ -21,9 +21,8 @@ class DataLoader:
         activations — the loader is agnostic), **or** a lazy batch
         source: any object with a 3-tuple ``.shape`` and a
         ``.gather(indices) -> [T, k, C]`` method (e.g.
-        :class:`~repro.replaystore.stream.ConcatReplaySource`).  Lazy
-        sources let replay data stay on disk; the loader materialises
-        only one minibatch at a time.
+        :class:`~repro.replaystore.stream.ConcatReplaySource`); the
+        loader asks it for one minibatch at a time.
     labels:
         ``[N]`` integer labels.
     batch_size:

@@ -22,32 +22,22 @@ death (preempted worker, ``kill -9``, ``os._exit``), which the rename
 protocol already survives, and the callers commit after every scenario
 step — per-commit fsyncs would dominate small-step streaming runs.
 
-Concurrency primitives live here too, because they complete the same
-story for *multi-handle* access:
+The lock that completes the same story for *multi-handle* access lives
+here too: :class:`FileLock` is an exclusive advisory lock
+(``fcntl.flock``) on a dedicated ``*.lock`` file, held across the
+read-modify-write of an index whose commit point is the atomic rename
+(and, for the replay store, across every replay read).  The lock file
+is separate from the index because the index inode changes on every
+rename; a lock taken on the index itself would silently stop excluding
+anyone after the first commit.
 
-- :class:`FileLock` — an exclusive advisory lock (``fcntl.flock``) on a
-  dedicated ``*.lock`` file, held across the read-modify-write of an
-  index whose commit point is the atomic rename.  The lock file is
-  separate from the index because the index inode changes on every
-  rename; a lock taken on the index itself would silently stop
-  excluding anyone after the first commit.
-- :class:`Pin` / :func:`acquire_pin` / :func:`live_pin_payloads` — a
-  crash-safe reader registry.  A reader holds an exclusive ``flock`` on
-  its own small pin file for as long as it is alive; writers scan the
-  pin directory and try a non-blocking lock on each file: acquiring it
-  proves the owner is gone (the kernel released the lock when the
-  process died), so the stale pin is reaped, while a lock that would
-  block identifies a live reader whose payload (e.g. the store
-  generation it snapshot) gates garbage collection.
-
-``fcntl`` is POSIX-only; on platforms without it the primitives degrade
-to no-ops (single-process use stays correct, cross-process exclusion is
+``fcntl`` is POSIX-only; on platforms without it the lock degrades to a
+no-op (single-process use stays correct, cross-process exclusion is
 best-effort), mirroring how advisory locks behave on exotic filesystems.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -69,9 +59,6 @@ __all__ = [
     "atomic_write_json",
     "FileLock",
     "locked",
-    "Pin",
-    "acquire_pin",
-    "live_pin_payloads",
 ]
 
 #: Suffix of the staging file written next to the final path.
@@ -212,134 +199,3 @@ def locked(path: str | Path) -> Iterator[FileLock]:
         yield lock
     finally:
         lock.release()
-
-
-# ----------------------------------------------------------------------
-# Crash-safe reader pins
-# ----------------------------------------------------------------------
-#: Suffix of pin files inside a pin directory.
-PIN_SUFFIX = ".pin"
-
-#: Process-local uniquifier for pin file names (pid alone is not enough:
-#: one process opens many readers).
-_PIN_COUNTER = itertools.count()
-
-
-class Pin:
-    """One held reader pin: a payload file plus a lock held while alive.
-
-    Release explicitly via :meth:`release` (or rely on ``__del__`` /
-    garbage collection — closing the file descriptor releases the
-    ``flock`` even if the unlink never runs, so a leaked or crashed
-    holder degrades to a *stale* pin that any writer reaps).
-    """
-
-    def __init__(self, path: Path, handle: IO):
-        self.path = path
-        self._handle: IO | None = handle
-
-    @property
-    def active(self) -> bool:
-        """Whether the pin is still held."""
-        return self._handle is not None
-
-    def release(self) -> None:
-        """Unlink the pin file and drop its lock; idempotent."""
-        if self._handle is None:
-            return
-        handle, self._handle = self._handle, None
-        # Unlink before unlocking: a scanner that wins the lock after
-        # the unlink sees no file at all rather than a reappearing pin.
-        try:
-            self.path.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - directory vanished
-            pass
-        if fcntl is not None:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            except OSError:  # pragma: no cover - fd already invalid
-                pass
-        handle.close()
-
-    def __del__(self):
-        self.release()
-
-    def __enter__(self) -> "Pin":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-def acquire_pin(directory: str | Path, payload: dict) -> Pin:
-    """Register a live pin in ``directory`` carrying ``payload``.
-
-    The pin file is created, exclusively locked, and only then written,
-    so a scanner never mistakes a half-registered pin for a stale one:
-    until the lock is held the file either does not exist or fails the
-    non-blocking-lock probe and is reaped — in which case registration
-    retries with a fresh name.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    while True:
-        name = f"reader-{os.getpid()}-{next(_PIN_COUNTER):06d}{PIN_SUFFIX}"
-        path = directory / name
-        handle = open(path, "a+")
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        # A concurrent reaper may have unlinked (or replaced) the path
-        # between open and flock; holding a lock on an unlinked inode
-        # pins nothing, so verify the directory entry is still our fd.
-        try:
-            on_disk = os.stat(path)
-        except OSError:
-            handle.close()
-            continue
-        if on_disk.st_ino != os.fstat(handle.fileno()).st_ino:
-            handle.close()
-            continue
-        handle.truncate(0)
-        handle.write(json.dumps(payload))
-        handle.flush()
-        return Pin(path, handle)
-
-
-def live_pin_payloads(directory: str | Path, reap: bool = True) -> list[dict]:
-    """Payloads of every live pin in ``directory``; reaps stale pins.
-
-    A pin whose lock can be acquired non-blocking has no live owner
-    (the kernel released it when the owner exited or closed), so it is
-    unlinked when ``reap`` is true.  A live pin whose payload cannot be
-    parsed (caught mid-write) is reported as ``{}`` — callers must
-    treat an empty payload conservatively.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    payloads: list[dict] = []
-    for path in sorted(directory.glob(f"*{PIN_SUFFIX}")):
-        try:
-            handle = open(path, "r")
-        except OSError:
-            continue  # released between glob and open
-        try:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    # Lock held elsewhere: a live reader.
-                    try:
-                        payload = json.loads(handle.read())
-                        if not isinstance(payload, dict):
-                            payload = {}
-                    except (OSError, ValueError):
-                        payload = {}
-                    payloads.append(payload)
-                    continue
-            # Lock acquired (or no fcntl): the owner is gone.
-            if reap and fcntl is not None:
-                path.unlink(missing_ok=True)
-        finally:
-            handle.close()
-    return payloads

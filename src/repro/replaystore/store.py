@@ -11,7 +11,7 @@ A store is a directory::
 The index is the lookup authority: it carries per-shard sample counts,
 labels, codec choice, and payload byte offsets, so listing, budgeting
 and class statistics never touch shard payloads.  Shard files are only
-read when their samples are actually replayed (see ``stream.py``).
+read when their samples are replayed (see ``stream.py``) or rewritten.
 
 Shards are immutable once written; mutation happens by appending new
 shards or by :meth:`ReplayStore.compact`, which rewrites the shard set
@@ -21,35 +21,25 @@ Concurrency: every index mutation runs under an exclusive advisory
 :class:`~repro.ioutil.FileLock` (``index.json.lock``) and re-reads the
 on-disk index before modifying it, so handles in different threads or
 processes serialize their read-modify-write cycles; the atomic index
-rename stays the commit point.  Readers register themselves through
-crash-safe pins (``.readers/``): a compaction that finds live readers
-leaves the superseded shard files on disk as a *tombstone generation*
-(recorded in the index) instead of unlinking them, so an in-flight
-gather against the old snapshot finishes cleanly — the reader then gets
-a clean :class:`~repro.errors.StoreError` at its next snapshot check,
-never a raw ``FileNotFoundError``.  Tombstones are swept by later
-mutations once no live reader pins a generation that can reference
-them.
+rename stays the commit point, and superseded shard files are unlinked
+right after it.  A replay read takes the same lock for the whole decode
+(:class:`~repro.replaystore.stream.ReplayStream`), so no read is ever in
+flight across a mutation.  A handle that another handle's mutation left
+behind gets a clean :class:`~repro.errors.StoreError`, never a raw
+``FileNotFoundError``.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.errors import StoreError
-from repro.ioutil import (
-    FileLock,
-    Pin,
-    acquire_pin,
-    atomic_write_json,
-    live_pin_payloads,
-)
+from repro.ioutil import atomic_write_json, locked
 from repro.replaystore.format import decode_shard, encode_shard, peek_header
 
 __all__ = [
@@ -59,7 +49,6 @@ __all__ = [
     "ReplayStore",
     "INDEX_NAME",
     "LOCK_NAME",
-    "READERS_DIR",
     "index_int",
     "is_int",
     "malformed_index",
@@ -69,12 +58,10 @@ INDEX_NAME = "index.json"
 #: Lock file guarding index read-modify-write (never renamed, unlike
 #: the index itself, so the locked inode is stable).
 LOCK_NAME = "index.json.lock"
-#: Directory of crash-safe reader pins (see :mod:`repro.ioutil`).
-READERS_DIR = ".readers"
 INDEX_VERSION = 1
 
-#: Default samples per shard; also the replay-time decode granularity
-#: (peak resident replay memory is ~``shard_samples`` dense samples).
+#: Default samples per shard: the unit of encoding, codec choice and
+#: file I/O (a replay read decodes every shard of the store once).
 DEFAULT_SHARD_SAMPLES = 64
 
 
@@ -198,7 +185,6 @@ class ReplayStore:
         meta: StoreMeta,
         shards: list[ShardInfo],
         generation: int = 0,
-        tombstones: list[dict] | None = None,
     ):
         self.root = Path(root)
         self.meta = meta
@@ -207,88 +193,24 @@ class ReplayStore:
         #: generation in their name so a rewrite never collides with the
         #: files the current index still points at.
         self.generation = int(generation)
-        #: Superseded shard files kept on disk for live pinned readers:
-        #: ``[{"file": name, "generation": g}]`` where ``g`` is the
-        #: generation whose commit orphaned the file.  Swept by
-        #: :meth:`sweep_tombstones` once no reader can reference them.
-        self.tombstones: list[dict] = list(tombstones or [])
 
     # ------------------------------------------------------------------
-    # Locking + reader registry
+    # Locking
     # ------------------------------------------------------------------
-    @contextmanager
     def _locked(self):
-        """Exclusive advisory lock over index read-modify-write."""
-        lock = FileLock(self.root / LOCK_NAME)
-        lock.acquire()
-        try:
-            yield lock
-        finally:
-            lock.release()
+        """Exclusive advisory lock over index read-modify-write and reads."""
+        return locked(self.root / LOCK_NAME)
 
-    def pin_reader(self) -> Pin:
-        """Register a live reader pinned to the current generation.
+    def _commit(self, orphans: list[str]) -> None:
+        """Commit the index, then unlink the files it no longer references.
 
-        While the pin is held (a crashed holder releases it
-        automatically), mutations keep this generation's shard files on
-        disk as tombstones instead of unlinking them, so the reader's
-        in-flight gathers finish against its snapshot.  Release the pin
-        as soon as the snapshot view is dropped.
+        The atomic index rename is the commit point, so a crash before
+        the unlinks leaves at worst orphaned files, never an index that
+        points at a missing shard.  Caller holds the index lock.
         """
-        return acquire_pin(
-            self.root / READERS_DIR, {"generation": self.generation}
-        )
-
-    def _pinned_generations(self) -> list[int]:
-        """Generations pinned by live readers (unparseable pins pin all)."""
-        return [
-            int(payload.get("generation", -1))
-            for payload in live_pin_payloads(self.root / READERS_DIR)
-        ]
-
-    def _commit_and_sweep(self, orphans: list[str]) -> None:
-        """Commit the index, then remove unpinned superseded files.
-
-        ``orphans`` are files the *new* generation no longer references.
-        Every candidate (prior tombstones included) is recorded in the
-        committed index first, so a crash after the rename never loses
-        track of a file; deletion only touches candidates no live
-        reader's pinned generation can reference.  Caller holds the
-        index lock.
-        """
-        candidates = list(self.tombstones) + [
-            {"file": name, "generation": self.generation} for name in orphans
-        ]
-        self.tombstones = candidates
-        self._write_index()  # atomic rename: the commit point
-        if not candidates:
-            return
-        pinned = self._pinned_generations()
-        keep = []
-        dropped = 0
-        for tomb in candidates:
-            if any(g < int(tomb["generation"]) for g in pinned):
-                keep.append(tomb)
-                continue
-            (self.root / str(tomb["file"])).unlink(missing_ok=True)
-            dropped += 1
-        if dropped:
-            self.tombstones = keep
-            self._write_index()
-            obs.count("store.tombstones_swept", dropped)
-
-    def sweep_tombstones(self) -> int:
-        """Delete tombstoned files no live reader pins; returns count.
-
-        Safe to call any time (takes the index lock); mutations sweep
-        opportunistically, so explicit calls are only needed to reclaim
-        disk promptly after long-lived readers close.
-        """
-        with self._locked():
-            self._reload()
-            before = len(self.tombstones)
-            self._commit_and_sweep([])
-            return before - len(self.tombstones)
+        self._write_index()
+        for name in orphans:
+            (self.root / name).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -334,14 +256,16 @@ class ReplayStore:
     def open(cls, root: str | Path) -> "ReplayStore":
         """Load an existing store from its index."""
         root = Path(root)
-        meta, shards, generation, tombstones = cls._read_index(root / INDEX_NAME)
-        return cls(root, meta, shards, generation=generation, tombstones=tombstones)
+        meta, shards, generation = cls._read_index(root / INDEX_NAME)
+        return cls(root, meta, shards, generation=generation)
 
     @staticmethod
-    def _read_index(
-        index_path: Path,
-    ) -> tuple[StoreMeta, list[ShardInfo], int, list[dict]]:
-        """Parse and validate an index (shared by ``open`` and reload)."""
+    def _read_index(index_path: Path) -> tuple[StoreMeta, list[ShardInfo], int]:
+        """Parse and validate an index (shared by ``open`` and reload).
+
+        Keys this version does not read (fields written by older
+        versions) are ignored; the next commit drops them.
+        """
         if not index_path.exists():
             raise StoreError(
                 f"no replay store at {index_path.parent} (missing {INDEX_NAME})"
@@ -367,20 +291,7 @@ class ReplayStore:
                 raise malformed_index(index_path, "shards", "shard entries", entry)
         shards = [ShardInfo(**entry) for entry in shards]
         generation = index_int(payload, "generation", index_path, default=0)
-        tombstones = payload.get("tombstones", [])
-        if not isinstance(tombstones, list) or not all(
-            isinstance(tomb, dict)
-            and isinstance(tomb.get("file"), str)
-            and is_int(tomb.get("generation"))
-            for tomb in tombstones
-        ):
-            raise malformed_index(
-                index_path,
-                "tombstones",
-                "a list of {file, generation} entries",
-                tombstones,
-            )
-        return meta, shards, generation, tombstones
+        return meta, shards, generation
 
     def _reload(self) -> None:
         """Refresh this handle from the on-disk index.
@@ -389,8 +300,8 @@ class ReplayStore:
         cycles from concurrent handles compose instead of clobbering each
         other (the second writer starts from the first writer's commit).
         """
-        self.meta, self.shards, self.generation, self.tombstones = (
-            self._read_index(self.root / INDEX_NAME)
+        self.meta, self.shards, self.generation = self._read_index(
+            self.root / INDEX_NAME
         )
 
     def _write_index(self) -> None:
@@ -416,10 +327,6 @@ class ReplayStore:
                     "labels": list(map(int, s.labels)),
                 }
                 for s in self.shards
-            ],
-            "tombstones": [
-                {"file": str(t["file"]), "generation": int(t["generation"])}
-                for t in self.tombstones
             ],
         }
         atomic_write_json(self.root / INDEX_NAME, payload)
@@ -517,21 +424,8 @@ class ReplayStore:
                 chunk = raster[:, start : start + self.meta.shard_samples, :]
                 chunk_labels = labels[start : start + self.meta.shard_samples]
                 new_ids.append(self._write_shard(chunk, chunk_labels))
-            self._commit_and_sweep([])
+            self._commit([])
         return new_ids
-
-    def _shard_name(self, shard_id: int) -> str:
-        """Next free ``shard-NNNNN.bin`` name (never reuses a tombstone).
-
-        Plain sequential naming would collide with a same-numbered file
-        kept alive as a tombstone after a compaction, silently clobbering
-        the snapshot a pinned reader is still gathering from.
-        """
-        used = {s.file for s in self.shards}
-        used.update(str(t["file"]) for t in self.tombstones)
-        while f"shard-{shard_id:05d}.bin" in used:
-            shard_id += 1
-        return f"shard-{shard_id:05d}.bin"
 
     def _write_shard(self, raster: np.ndarray, labels: np.ndarray) -> int:
         shard_id = len(self.shards)
@@ -540,20 +434,21 @@ class ReplayStore:
             sp.set(bytes=len(blob), samples=int(raster.shape[1]))
         obs.count("store.bytes_encoded", len(blob))
         obs.count("store.shards_encoded")
-        header = peek_header(blob)
-        name = self._shard_name(shard_id)
-        (self.root / name).write_bytes(blob)
-        self.shards.append(
-            ShardInfo(
-                file=name,
-                num_samples=header.num_samples,
-                codec=header.codec,
-                payload_bytes=header.payload_bytes,
-                payload_offset=len(blob) - header.payload_bytes,
-                labels=[int(v) for v in labels],
-            )
-        )
+        self.shards.append(self._write_file(f"shard-{shard_id:05d}.bin", blob, labels))
         return shard_id
+
+    def _write_file(self, name: str, blob: bytes, labels: np.ndarray) -> ShardInfo:
+        """Write an encoded shard to ``name``; returns its index row."""
+        header = peek_header(blob)
+        (self.root / name).write_bytes(blob)
+        return ShardInfo(
+            file=name,
+            num_samples=header.num_samples,
+            codec=header.codec,
+            payload_bytes=header.payload_bytes,
+            payload_offset=len(blob) - header.payload_bytes,
+            labels=[int(v) for v in labels],
+        )
 
     def read_shard(self, shard_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode one shard to its dense ``[T_stored, n, C]`` raster."""
@@ -602,10 +497,9 @@ class ReplayStore:
         the order :attr:`labels` uses); kept samples preserve that order.
         This is the eviction primitive of cross-store rebalancing: a
         federation decides *which* samples survive, ``filter`` rewrites
-        the shard set to hold exactly those.  Streams shard-by-shard like
-        :meth:`compact` and shares its crash-safety: new-generation files
-        first, atomic index rename as the commit point, old files removed
-        last.  Filtering to the full index set is a no-op (no rewrite).
+        the shard set to hold exactly those.  Shares :meth:`compact`'s
+        rewrite and its crash-safety.  Filtering to the full index set is
+        a no-op (no rewrite).
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.ndim != 1:
@@ -623,138 +517,81 @@ class ReplayStore:
                     raise StoreError("keep indices must be strictly increasing")
             if keep.size == total:
                 return 0
-            evicted = total - int(keep.size)
-            target = self.meta.shard_samples
-            old_files = [s.file for s in self.shards]
-            generation = self.generation + 1
 
-            staged: list[ShardInfo] = []
-            pending_raster: list[np.ndarray] = []
-            pending_labels: list[np.ndarray] = []
-            pending = 0
+            def survivors():
+                offset = 0
+                for shard_id, info in enumerate(self.shards):
+                    local = keep[(keep >= offset) & (keep < offset + info.num_samples)]
+                    local -= offset
+                    offset += info.num_samples
+                    if local.size:
+                        raster, labels = self.read_shard(shard_id)
+                        yield raster[:, local, :], labels[local]
 
-            def flush(force: bool) -> None:
-                nonlocal pending
-                while pending >= target or (force and pending > 0):
-                    raster = np.concatenate(pending_raster, axis=1)
-                    labels = np.concatenate(pending_labels)
-                    take = min(target, raster.shape[1])
-                    blob = encode_shard(raster[:, :take, :], labels[:take])
-                    header = peek_header(blob)
-                    name = f"shard-g{generation:03d}-{len(staged):05d}.bin"
-                    (self.root / name).write_bytes(blob)
-                    staged.append(
-                        ShardInfo(
-                            file=name,
-                            num_samples=header.num_samples,
-                            codec=header.codec,
-                            payload_bytes=header.payload_bytes,
-                            payload_offset=len(blob) - header.payload_bytes,
-                            labels=[int(v) for v in labels[:take]],
-                        )
-                    )
-                    pending_raster[:] = (
-                        [raster[:, take:, :]] if take < raster.shape[1] else []
-                    )
-                    pending_labels[:] = (
-                        [labels[take:]] if take < labels.shape[0] else []
-                    )
-                    pending -= take
-
-            offset = 0
-            for shard_id in range(len(self.shards)):
-                count = self.shards[shard_id].num_samples
-                local = keep[(keep >= offset) & (keep < offset + count)] - offset
-                offset += count
-                if local.size == 0:
-                    continue
-                raster, labels = self.read_shard(shard_id)
-                pending_raster.append(raster[:, local, :])
-                pending_labels.append(labels[local])
-                pending += int(local.size)
-                flush(force=False)
-            flush(force=True)
-
-            self.shards = staged
-            self.generation = generation
-            self._commit_and_sweep(old_files)
-        return evicted
+            self._rewrite(survivors(), self.meta)
+        return total - int(keep.size)
 
     def compact(self, shard_samples: int | None = None) -> int:
         """Rewrite all shards at uniform occupancy; returns the new count.
 
         Used after budget evictions leave ragged shards, or to retarget
-        the decode granularity.  Streams shard-by-shard, so peak memory
-        stays at ~2 shards regardless of store size.
-
-        Crash-safe: the new generation's shard files are written under
-        names the current index never references, the atomic index
-        rename is the commit point, and only then are the old
-        generation's files removed.  A crash anywhere leaves a store
-        that opens cleanly (at worst with orphaned files from the
-        interrupted generation).
+        the shard size.  Streams shard-by-shard, so peak memory stays at
+        ~2 shards regardless of store size.
         """
         if shard_samples is not None and shard_samples <= 0:
             raise StoreError(f"shard_samples must be positive, got {shard_samples}")
         with self._locked():
             self._reload()
-            target = shard_samples or self.meta.shard_samples
-            old_files = [s.file for s in self.shards]
-            generation = self.generation + 1
-
-            staged: list[ShardInfo] = []
-            pending_raster: list[np.ndarray] = []
-            pending_labels: list[np.ndarray] = []
-            pending = 0
-
-            def flush(force: bool) -> None:
-                nonlocal pending
-                while pending >= target or (force and pending > 0):
-                    raster = np.concatenate(pending_raster, axis=1)
-                    labels = np.concatenate(pending_labels)
-                    take = min(target, raster.shape[1])
-                    blob = encode_shard(raster[:, :take, :], labels[:take])
-                    header = peek_header(blob)
-                    name = f"shard-g{generation:03d}-{len(staged):05d}.bin"
-                    (self.root / name).write_bytes(blob)
-                    staged.append(
-                        ShardInfo(
-                            file=name,
-                            num_samples=header.num_samples,
-                            codec=header.codec,
-                            payload_bytes=header.payload_bytes,
-                            payload_offset=len(blob) - header.payload_bytes,
-                            labels=[int(v) for v in labels[:take]],
-                        )
-                    )
-                    pending_raster[:] = (
-                        [raster[:, take:, :]] if take < raster.shape[1] else []
-                    )
-                    pending_labels[:] = (
-                        [labels[take:]] if take < labels.shape[0] else []
-                    )
-                    pending -= take
-
-            for shard_id in range(len(self.shards)):
-                raster, labels = self.read_shard(shard_id)
-                pending_raster.append(raster)
-                pending_labels.append(labels)
-                pending += raster.shape[1]
-                flush(force=False)
-            flush(force=True)
-
-            self.shards = staged
-            self.generation = generation
-            self.meta = StoreMeta(
-                stored_frames=self.meta.stored_frames,
-                num_channels=self.meta.num_channels,
-                generated_timesteps=self.meta.generated_timesteps,
-                insertion_layer=self.meta.insertion_layer,
-                codec_factor=self.meta.codec_factor,
-                shard_samples=target,
+            meta = replace(
+                self.meta, shard_samples=shard_samples or self.meta.shard_samples
             )
-            self._commit_and_sweep(old_files)
+            self._rewrite(map(self.read_shard, range(self.num_shards)), meta)
         return len(self.shards)
+
+    def _rewrite(self, pieces, meta: StoreMeta) -> None:
+        """Re-pack ``pieces`` as the next generation and commit it.
+
+        ``pieces`` yields ``(raster, labels)`` runs of samples in storage
+        order; they are cut into shards of ``meta.shard_samples`` samples
+        (the last one may be short).  Crash-safe: the new generation's
+        files are written under names the current index never
+        references, the atomic index rename is the commit point, and only
+        then are the old generation's files removed — a crash anywhere
+        leaves a store that opens cleanly (at worst with orphaned files
+        from the interrupted generation).  Caller holds the index lock.
+        """
+        target = meta.shard_samples
+        generation = self.generation + 1
+        staged: list[ShardInfo] = []
+        pending_raster: list[np.ndarray] = []
+        pending_labels: list[np.ndarray] = []
+        pending = 0
+
+        def flush(force: bool) -> None:
+            nonlocal pending
+            while pending >= target or (force and pending > 0):
+                raster = np.concatenate(pending_raster, axis=1)
+                labels = np.concatenate(pending_labels)
+                take = min(target, raster.shape[1])
+                blob = encode_shard(raster[:, :take, :], labels[:take])
+                name = f"shard-g{generation:03d}-{len(staged):05d}.bin"
+                staged.append(self._write_file(name, blob, labels[:take]))
+                pending_raster[:] = [raster[:, take:, :]] if take < pending else []
+                pending_labels[:] = [labels[take:]] if take < pending else []
+                pending -= take
+
+        for raster, labels in pieces:
+            pending_raster.append(raster)
+            pending_labels.append(labels)
+            pending += raster.shape[1]
+            flush(force=False)
+        flush(force=True)
+
+        old_files = [s.file for s in self.shards]
+        self.shards = staged
+        self.generation = generation
+        self.meta = meta
+        self._commit(old_files)
 
     def __repr__(self) -> str:
         return (

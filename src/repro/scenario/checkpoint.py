@@ -82,7 +82,6 @@ _STEP_FIELDS = (
     "latent_storage_bytes",
     "latent_stored_frames",
     "replay_store_path",
-    "replay_peak_resident_bytes",
 )
 
 

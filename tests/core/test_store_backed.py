@@ -4,8 +4,7 @@ The acceptance bar for the replaystore subsystem: running a full NCL
 phase with the replay buffer on disk (``ReplaySpec(store_dir=...)``) must
 reproduce the in-memory path **exactly** — same losses, same accuracy
 curve, same final weights — because the shard codecs are lossless and
-the minibatch schedule is unchanged.  Peak resident replay memory is
-bounded by the shard size (asserted via the stream's decode cache).
+the minibatch schedule is unchanged.
 """
 
 import threading
@@ -160,11 +159,3 @@ class TestStoreArtifacts:
         )
         np.testing.assert_array_equal(copy.labels, store.labels)
         np.testing.assert_array_equal(ReplayStream(copy).materialize(), stored)
-
-    def test_resident_memory_bounded_by_shard(self, store_run):
-        _, store = store_run
-        stream = ReplayStream(store, cache_shards=1)
-        stream.materialize()
-        # One decoded shard resident at a time, every shard visited.
-        assert len(stream._cache) == 1
-        assert stream.shard_decodes == store.num_shards

@@ -145,7 +145,7 @@ class TestSitePages:
                 "repro.snn",
                 "repro.eval",
                 "flock",
-                "tombstone",
+                "Reads under the lock",
                 "generation",
                 "MAX_OPEN_MEMBERS",
             ],

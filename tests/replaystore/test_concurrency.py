@@ -1,9 +1,11 @@
-"""Concurrency suite: locks, pinned readers, member LRU, crash windows.
+"""Concurrency suite: locks, replay reads, member LRU, crash windows.
 
-The two-handle contract under test everywhere here: a reader that
-overlaps a mutation either finishes against its pinned snapshot or gets
-a clean ``StoreError("store was mutated ...")`` at its next access —
-**never** a vanished-file ``OSError`` and never silently wrong bytes.
+The two-handle contract under test everywhere here: a replay read takes
+the store's lock for its whole decode, so a stream opened before a
+mutation keeps serving its snapshot, and a stream opened through a
+handle that a mutation left behind gets a clean
+``StoreError("store was mutated ...")`` — **never** a vanished-file
+``OSError`` and never silently wrong bytes.
 """
 
 import subprocess
@@ -59,76 +61,65 @@ def make_federation(root, members=3, samples=8, seed=0):
 
 
 class TestTwoHandleCompaction:
-    """The PR's acceptance test: compact through one handle, read the other."""
+    """Rewrite through one handle, read through the other."""
 
-    def test_reader_survives_filter_then_fails_cleanly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda writer: writer.filter(np.arange(0, 12, 2)),
+            lambda writer: writer.compact(shard_samples=5),
+        ],
+        ids=["filter", "compact"],
+    )
+    def test_open_stream_keeps_its_snapshot(self, tmp_path, mutate):
         store = make_store(tmp_path / "s", np.arange(12) % 3)
-        reader = ReplayStream(store)
-        expected = reader.gather(np.arange(12))
+        stream = ReplayStream(store)
+        expected = stream.materialize().copy()
 
-        writer = ReplayStore.open(tmp_path / "s")
-        writer.filter(np.arange(0, 12, 2))
+        mutate(ReplayStore.open(tmp_path / "s"))
 
-        # The reader's shard files are tombstoned, not deleted: every
-        # file its snapshot references is still on disk.
-        snapshot_files = {info.file for info in store.shards}
-        on_disk = {p.name for p in (tmp_path / "s").glob("shard-*.bin")}
-        assert snapshot_files <= on_disk
+        # The old generation's files are gone; the stream never needed them.
+        assert not {info.file for info in store.shards} & {
+            p.name for p in (tmp_path / "s").glob("shard-*.bin")
+        }
+        order = np.array([11, 0, 5, 5, 3])
+        np.testing.assert_array_equal(stream.gather(order), expected[:, order, :])
+        np.testing.assert_array_equal(stream.materialize(), expected)
+        np.testing.assert_array_equal(stream.labels, np.arange(12) % 3)
 
-        # The next access through the stale handle is a taxonomy error,
-        # never an OSError from a vanished file.
-        with pytest.raises(StoreError, match="store was mutated"):
-            reader.gather(np.arange(4))
-        reader.close()
-        # The gather it completed before the mutation was untouched.
-        assert expected.shape == (FRAMES, 12, CHANNELS)
-
-    def test_compaction_waits_for_pinned_reader(self, tmp_path):
-        store = make_store(tmp_path / "s", np.arange(12) % 3)
-        reader = ReplayStream(store)
-        pinned = {info.file for info in store.shards}
-
-        writer = ReplayStore.open(tmp_path / "s")
-        writer.filter(np.arange(6))
-        writer.compact()
-        # Two mutations later the pinned generation's files still exist.
-        on_disk = {p.name for p in (tmp_path / "s").glob("shard-*.bin")}
-        assert pinned <= on_disk
-
-        reader.close()
-        assert writer.sweep_tombstones() > 0
-        on_disk = {p.name for p in (tmp_path / "s").glob("shard-*.bin")}
-        assert not (pinned & on_disk), "unpinned tombstones must be swept"
-
-    def test_reader_from_dead_process_does_not_pin_forever(self, tmp_path):
-        store = make_store(tmp_path / "s", np.arange(8) % 2)
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[2]); "
-            "import os; "
-            "from repro.replaystore import ReplayStore, ReplayStream; "
-            "stream = ReplayStream(ReplayStore.open(sys.argv[1])); "
-            "os._exit(0)"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "s"), SRC],
-            check=True,
-        )
-        writer = ReplayStore.open(tmp_path / "s")
-        before = {p.name for p in (tmp_path / "s").glob("shard-*.bin")}
-        writer.filter(np.arange(4))
-        # The dead reader's pin was reaped, so its files are sweepable
-        # (the filter's own commit already swept them).
-        on_disk = {p.name for p in (tmp_path / "s").glob("shard-*.bin")}
-        assert not (before & on_disk)
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda writer: writer.filter(np.arange(0, 12, 2)),
+            lambda writer: writer.compact(shard_samples=5),
+            lambda writer: writer.append(
+                np.zeros((FRAMES, 2, CHANNELS), np.float32), np.zeros(2)
+            ),
+        ],
+        ids=["filter", "compact", "append"],
+    )
+    def test_stream_through_stale_handle_is_store_error(self, tmp_path, mutate):
+        make_store(tmp_path / "s", np.arange(12) % 3)
+        stale = ReplayStore.open(tmp_path / "s")
+        mutate(ReplayStore.open(tmp_path / "s"))
+        try:
+            ReplayStream(stale)
+        except StoreError as error:
+            assert "store was mutated" in str(error)
+        except OSError as error:  # pragma: no cover - the bug under test
+            raise AssertionError(f"leaked OSError: {error!r}")
+        else:  # pragma: no cover - the bug under test
+            raise AssertionError("a stale handle decoded a superseded snapshot")
+        # Reopening the store serves its current state.
+        assert ReplayStream(ReplayStore.open(tmp_path / "s")).num_samples in (6, 12, 14)
 
     def test_stale_handle_reads_shard_as_store_error(self, tmp_path):
         store = make_store(tmp_path / "s", np.arange(8) % 2)
         stale = ReplayStore.open(tmp_path / "s")
         store.filter(np.arange(4))
         store.compact()
-        store.sweep_tombstones()
-        # The stale handle's shard list references swept files; the read
-        # wraps the OSError into the taxonomy.
+        # The stale handle's shard list references deleted files; the
+        # read wraps the OSError into the taxonomy.
         try:
             stale.read_shard(0)
         except StoreError:
@@ -205,7 +196,11 @@ class TestLockedMutations:
                 np.arange(8) % 4,
                 seed=50 + k,
             )
-        errors = []
+        snapshots = {
+            name: [ReplayStream(store).materialize()]
+            for name, store in fed.members()
+        }
+        errors, observed = [], []
 
         def adopt(k):
             try:
@@ -218,33 +213,60 @@ class TestLockedMutations:
                 for _ in range(6):
                     fed_view = FederatedReplayStore.open(tmp_path / "fed")
                     try:
-                        labels = fed_view.labels
-                        assert labels.size % 8 == 0
+                        assert fed_view.labels.size % 4 == 0
                         for name, store in fed_view.members():
-                            with ReplayStream(store) as stream:
-                                data = stream.gather(np.arange(4))
-                            assert data.shape == (FRAMES, 4, CHANNELS)
+                            observed.append((name, ReplayStream(store).materialize()))
                     except StoreError:
-                        pass  # mutated mid-read: clean, expected
+                        pass  # mutated between open and read: clean, expected
             except Exception as error:  # pragma: no cover - must not happen
                 errors.append(error)
 
-        threads = [
-            threading.Thread(target=adopt, args=(k,)) for k in range(4)
-        ] + [threading.Thread(target=read) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        def rewrite():
+            try:
+                writer = ReplayStore.open(tmp_path / "fed" / "task-0")
+                for size in (3, 8, 5, 8):
+                    writer.compact(shard_samples=size)
+                writer.filter(np.arange(0, 8, 2))
+                snapshots["task-0"].append(ReplayStream(writer).materialize())
+            except Exception as error:  # pragma: no cover - must not happen
+                errors.append(error)
+
+        threads = (
+            [threading.Thread(target=adopt, args=(k,)) for k in range(4)]
+            + [threading.Thread(target=read) for _ in range(3)]
+            + [threading.Thread(target=rewrite)]
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads more often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
 
         assert errors == []
         merged = FederatedReplayStore.open(tmp_path / "fed")
         assert sorted(merged.member_names) == sorted(
             ["task-0", "task-1"] + [f"late-{k}" for k in range(4)]
         )
-        assert merged.num_samples == 6 * 8
+        assert merged.num_samples == 5 * 8 + 4
         # Every concurrent adopt landed: the labels span all six members.
-        assert merged.labels.tolist() == (np.arange(8) % 4).tolist() * 6
+        assert merged.labels.tolist() == (
+            [0, 2, 0, 2] + (np.arange(8) % 4).tolist() * 5
+        )
+        # Every stream opened mid-traffic equals a snapshot some commit
+        # made: compaction only re-packs shards, so a member's samples
+        # change only at the final filter.
+        for k in range(4):
+            snapshots[f"late-{k}"] = [
+                ReplayStream(merged.member(f"late-{k}")).materialize()
+            ]
+        assert observed
+        for name, data in observed:
+            assert any(np.array_equal(data, snap) for snap in snapshots[name])
 
 
 class TestAdoptCrashWindow:
@@ -341,8 +363,8 @@ def _member_rasters(fed):
     """``name -> (dense raster, labels)`` of every member, via streams."""
     out = {}
     for name, store in fed.members():
-        with ReplayStream(store) as stream:
-            out[name] = (stream.materialize(), stream.labels)
+        stream = ReplayStream(store)
+        out[name] = (stream.materialize(), stream.labels)
     return out
 
 
@@ -353,21 +375,6 @@ def _shrink_budget(root):
 
 
 class TestMemberStreamUnderRebalance:
-    def test_parity_then_clean_error(self, tmp_path):
-        fed = make_federation(tmp_path / "fed", members=3, samples=8)
-        dense = _member_rasters(fed)
-
-        stream = ReplayStream(fed.member("task-0"))
-        indices = np.arange(0, 8, 3)
-        np.testing.assert_array_equal(
-            stream.gather(indices), dense["task-0"][0][:, indices, :]
-        )
-        assert _shrink_budget(tmp_path / "fed") > 0
-
-        with pytest.raises(StoreError, match="store was mutated"):
-            stream.gather(np.arange(8))
-        stream.close()
-
     def test_fresh_streams_hold_survivors_in_storage_order(self, tmp_path):
         fed = make_federation(tmp_path / "fed", members=3, samples=8)
         before = _member_rasters(fed)

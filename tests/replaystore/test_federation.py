@@ -369,9 +369,6 @@ class TestMalformedIndex:
             ("store", "generation", "x"),
             ("store", "generation", -1),
             ("store", "generation", True),
-            ("store", "tombstones", 5),
-            ("store", "tombstones", [{"file": "shard-00000.bin"}]),
-            ("store", "tombstones", [{"file": 3, "generation": 0}]),
             ("store", "meta", 5),
             ("store", "meta", {"stored_frames": "x"}),
             ("store", "shards", 5),
@@ -427,9 +424,9 @@ class TestMalformedIndex:
     def test_minimal_store_index_opens(self, federation):
         index = federation.root / "task-0" / INDEX_NAME
         payload = json.loads(index.read_text())
-        del payload["generation"], payload["tombstones"]
+        del payload["generation"]
         index.write_text(json.dumps(payload))
         store = ReplayStore.open(index.parent)
-        assert (store.generation, store.tombstones) == (0, [])
+        assert store.generation == 0
         assert store.num_samples == 12
 

@@ -1,12 +1,13 @@
 """Tests for ReplayStore create/open/append/read/stats/compact."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.errors import StoreError
-from repro.replaystore import ReplayStore
+from repro.replaystore import ReplayStore, ReplayStream
 from repro.replaystore.format import payload_offset
 from repro.replaystore.store import INDEX_NAME, LOCK_NAME
 
@@ -265,3 +266,113 @@ class TestFilter:
             store.filter(np.asarray([5, 2]))
         with pytest.raises(StoreError, match="1-D"):
             store.filter(np.zeros((2, 2), dtype=np.int64))
+
+
+def _rewrite_digest(root) -> str:
+    """SHA-256 over every shard file and the index of the store at ``root``.
+
+    The index is hashed as the bytes the store writes for it today; a
+    legacy ``tombstones`` key (written as ``[]`` by older stores) is
+    dropped first so the digest names only the data the index carries.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.glob("shard-*.bin")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    index = json.loads((root / INDEX_NAME).read_text())
+    index.pop("tombstones", None)
+    digest.update((json.dumps(index, indent=1) + "\n").encode())
+    return digest.hexdigest()
+
+
+class TestRewriteGolden:
+    """Byte-for-byte output of the two shard-rewriting mutations.
+
+    The digests were recorded before ``filter`` and ``compact`` shared
+    one rewrite loop; they pin shard names, shard bytes, labels, offsets
+    and the committed index of each rewrite.
+    """
+
+    def test_filter_bytes(self, store):
+        store.filter(np.asarray([0, 2, 3, 5, 8, 9, 10, 14, 17, 19, 21, 22]))
+        assert _rewrite_digest(store.root) == (
+            "e2314e91d0833813a3b1365db2b8ff9729b7c8754818d2388b33b5ed619fe14f"
+        )
+
+    def test_compact_bytes(self, store):
+        store.compact(shard_samples=5)
+        assert _rewrite_digest(store.root) == (
+            "3eb1c19467ad520cf60eb67f1569f3ba8a36155bd10ff2f93307402118729552"
+        )
+
+    def test_filter_then_compact_bytes(self, store):
+        store.filter(np.arange(1, 23, 2))
+        store.compact(shard_samples=3)
+        assert _rewrite_digest(store.root) == (
+            "3f4a575ab9d0a872c1304f5d31dbe0ff21d602352fe7bccc5e1338fd045d52d8"
+        )
+
+
+class TestLegacyIndex:
+    """Indexes written by versions that tracked reader pins still open."""
+
+    def _legacy(self, store):
+        # That layout carried a ``tombstones`` list of superseded files
+        # kept for pinned readers, and a ``.readers/`` pin directory.
+        index = store.root / INDEX_NAME
+        payload = json.loads(index.read_text())
+        payload["tombstones"] = [
+            {"file": "shard-g000-00000.bin", "generation": 1},
+            {"file": "shard-00009.bin", "generation": 2},
+        ]
+        index.write_text(json.dumps(payload, indent=1) + "\n")
+        (store.root / "shard-g000-00000.bin").write_bytes(b"superseded")
+        readers = store.root / ".readers"
+        readers.mkdir()
+        (readers / "reader-1-000000.pin").write_text('{"generation": 0}')
+        return ReplayStore.open(store.root)
+
+    def test_opens_and_materializes_bitwise(self, store, raster, labels):
+        legacy = self._legacy(store)
+        assert [s.file for s in legacy.shards] == [s.file for s in store.shards]
+        stream = ReplayStream(legacy)
+        np.testing.assert_array_equal(stream.materialize(), raster)
+        np.testing.assert_array_equal(stream.labels, labels)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda store, raster, labels: store.append(raster[:, :2, :], labels[:2]),
+            lambda store, raster, labels: store.filter(np.arange(0, 23, 2)),
+            lambda store, raster, labels: store.compact(shard_samples=5),
+        ],
+        ids=["append", "filter", "compact"],
+    )
+    def test_next_mutation_drops_the_key(self, store, raster, labels, mutate):
+        legacy = self._legacy(store)
+        mutate(legacy, raster, labels)
+        payload = json.loads((store.root / INDEX_NAME).read_text())
+        assert "tombstones" not in payload
+        assert ReplayStore.open(store.root).num_samples == legacy.num_samples
+
+    @pytest.mark.parametrize(
+        "tombstones",
+        [5, [{"file": "shard-00000.bin"}], [{"file": 3, "generation": 0}]],
+    )
+    def test_key_is_not_read(self, store, raster, tombstones):
+        # Whatever the old field holds, nothing parses it any more.
+        index = store.root / INDEX_NAME
+        payload = json.loads(index.read_text())
+        payload["tombstones"] = tombstones
+        index.write_text(json.dumps(payload))
+        np.testing.assert_array_equal(
+            ReplayStream(ReplayStore.open(store.root)).materialize(), raster
+        )
+
+    def test_no_reader_state_is_ever_written(self, store):
+        ReplayStream(store)
+        store.filter(np.arange(0, 23, 3))
+        store.compact(shard_samples=4)
+        ReplayStream(store).gather(np.arange(3))
+        assert not (store.root / ".readers").exists()
+        assert "tombstones" not in json.loads((store.root / INDEX_NAME).read_text())

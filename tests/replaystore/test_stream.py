@@ -1,11 +1,18 @@
-"""Tests for ReplayStream, ConcatReplaySource, and lazy DataLoader use."""
+"""Tests for ReplayStream, ConcatReplaySource, and DataLoader batch sources."""
+
+import json
+import shutil
+import threading
 
 import numpy as np
 import pytest
 
 from repro.data.loaders import DataLoader
 from repro.errors import DataError, StoreError
+from repro.ioutil import FileLock
+from repro.obs import Recorder, use_recorder
 from repro.replaystore import ConcatReplaySource, ReplayStore, ReplayStream
+from repro.replaystore.store import INDEX_NAME, LOCK_NAME
 
 
 @pytest.fixture
@@ -56,24 +63,6 @@ class TestReplayStream:
         assert stream.shape == (12, 30, 9)
         np.testing.assert_array_equal(stream.labels, np.arange(30) % 5)
 
-    def test_iter_yields_shards(self, store, raster):
-        chunks = list(ReplayStream(store))
-        assert [r.shape[1] for r, _ in chunks] == [7, 7, 7, 7, 2]
-        np.testing.assert_array_equal(
-            np.concatenate([r for r, _ in chunks], axis=1), raster
-        )
-
-    def test_cache_bounds_decodes(self, store):
-        stream = ReplayStream(store, cache_shards=2)
-        # Repeatedly hit the same two shards: decoded once each.
-        for _ in range(5):
-            stream.gather(np.arange(14))
-        assert stream.shard_decodes == 2
-        # Touch a third shard: one more decode, cache evicts LRU.
-        stream.gather(np.array([15]))
-        assert stream.shard_decodes == 3
-        assert len(stream._cache) == 2
-
     def test_decompress_zero_stuffs(self, subsampled_store, raster):
         from repro.compression import TemporalSubsampleCodec
 
@@ -93,28 +82,71 @@ class TestReplayStream:
         with pytest.raises(StoreError, match="1-D"):
             stream.gather(np.zeros((2, 2), dtype=np.int64))
 
-    def test_cache_shards_validated(self, store):
-        with pytest.raises(StoreError):
-            ReplayStream(store, cache_shards=0)
+    def test_decodes_each_shard_once(self, store):
+        with use_recorder(Recorder()) as recorder:
+            stream = ReplayStream(store)
+            for _ in range(3):
+                stream.gather(np.arange(30)[::-1])
+            stream.materialize()
+        decoded = [
+            m.total for m in recorder.metrics() if m.name == "store.shards_decoded"
+        ]
+        assert decoded == [store.num_shards]
+        shards = [
+            s.attrs["shard"] for s in recorder.spans() if s.name == "store.decode_shard"
+        ]
+        assert shards == list(range(store.num_shards))
 
-    def test_stale_after_compact(self, store, raster):
+    def test_snapshot_is_read_only_and_gathers_are_copies(self, store, raster):
         stream = ReplayStream(store)
-        stream.gather(np.arange(5))
-        store.compact(shard_samples=30)
-        with pytest.raises(StoreError, match="mutated"):
-            stream.gather(np.arange(5))
-        # A fresh stream over the compacted store serves correctly.
-        np.testing.assert_array_equal(ReplayStream(store).materialize(), raster)
+        with pytest.raises(ValueError):
+            stream.materialize()[0, 0, 0] = 1.0
+        batch = stream.gather(np.arange(3))
+        batch[...] = 7.0
+        np.testing.assert_array_equal(stream.materialize(), raster)
 
-    def test_stale_after_append(self, store, raster):
-        stream = ReplayStream(store)
-        store.append(raster[:, :2, :], np.zeros(2))
-        with pytest.raises(StoreError, match="mutated"):
-            stream.gather(np.array([0]))
-        with pytest.raises(StoreError, match="mutated"):
-            stream.labels
-        with pytest.raises(StoreError, match="mutated"):
-            list(stream)
+    def test_edited_index_label_is_store_error(self, store):
+        # The index is read back under the lock: a label edited in the
+        # index disagrees with the shard, and the read refuses it.
+        index = store.root / INDEX_NAME
+        payload = json.loads(index.read_text())
+        payload["shards"][2]["labels"][0] += 1
+        index.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="disagrees with the index"):
+            ReplayStream(ReplayStore.open(store.root))
+
+    def test_missing_shard_file_is_store_error(self, store):
+        (store.root / store.shards[3].file).unlink()
+        with pytest.raises(StoreError, match="is gone"):
+            ReplayStream(store)
+
+    def test_vanished_store_is_store_error(self, store):
+        shutil.rmtree(store.root)
+        with pytest.raises(StoreError, match="no replay store"):
+            ReplayStream(store)
+
+    def test_read_waits_for_the_writer_lock(self, store, raster):
+        gate = FileLock(store.root / LOCK_NAME)
+        gate.acquire()
+        served = []
+        reader = threading.Thread(
+            target=lambda: served.append(ReplayStream(store).materialize())
+        )
+        reader.start()
+        reader.join(timeout=0.3)
+        assert not served, "a replay read must wait while a writer holds the lock"
+        gate.release()
+        reader.join(timeout=10)
+        np.testing.assert_array_equal(served[0], raster)
+
+    def test_empty_store(self, tmp_path):
+        empty = ReplayStore.create(
+            tmp_path / "empty", stored_frames=12, num_channels=9,
+            generated_timesteps=12,
+        )
+        stream = ReplayStream(empty)
+        assert stream.shape == (12, 0, 9)
+        assert stream.gather(np.zeros(0, dtype=np.int64)).shape == (12, 0, 9)
 
 
 class TestConcatReplaySource:
@@ -137,6 +169,20 @@ class TestConcatReplaySource:
             source.gather(np.array([-1]))
         with pytest.raises(StoreError, match="out of range"):
             source.gather(np.array([40]))
+
+    def test_rejects_multidimensional_indices(self, store):
+        source = ConcatReplaySource(np.zeros((12, 10, 9)), ReplayStream(store))
+        with pytest.raises(StoreError, match="1-D"):
+            source.gather(np.zeros((2, 2), dtype=np.int64))
+
+    def test_gathers_are_writable_copies(self, store, raster):
+        dense = np.ones((12, 2, 9), dtype=np.float32)
+        source = ConcatReplaySource(dense, ReplayStream(store))
+        batch = source.gather(np.array([0, 2, 31]))
+        batch[...] = 5.0
+        np.testing.assert_array_equal(
+            source.gather(np.arange(32)), np.concatenate([dense, raster], axis=1)
+        )
 
     def test_geometry_validated(self, store):
         with pytest.raises(StoreError, match="frames"):

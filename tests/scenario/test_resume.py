@@ -393,6 +393,47 @@ class TestStoreBackedResume:
                     state_a[layer][param], state_b[layer][param]
                 )
 
+    def test_manifest_with_peak_resident_key_resumes(self, tmp_path):
+        # Manifests of earlier versions carried each step's
+        # ``replay_peak_resident_bytes``; resume ignores the key.
+        experiment = make_experiment()
+        reference = run_scenario(
+            "streaming",
+            "replay4ncl",
+            experiment=experiment,
+            replay=ReplaySpec(store_dir=tmp_path / "fed-ref", shard_samples=4),
+        )
+        spec = ReplaySpec(store_dir=tmp_path / "fed", shard_samples=4)
+        checkpoint_dir = tmp_path / "ckpt"
+        run_scenario(
+            "streaming",
+            "replay4ncl",
+            experiment=experiment,
+            replay=spec,
+            checkpoint=checkpoint_dir,
+            max_steps=2,
+        )
+        manifest_path = checkpoint_dir / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["steps"]
+        for step in manifest["steps"]:
+            assert "replay_peak_resident_bytes" not in step
+            step["replay_peak_resident_bytes"] = 4096
+        manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
+        resumed = run_scenario(
+            "streaming",
+            "replay4ncl",
+            experiment=experiment,
+            replay=spec,
+            checkpoint=checkpoint_dir,
+            resume=True,
+        )
+        np.testing.assert_array_equal(
+            resumed.accuracy_matrix, reference.accuracy_matrix
+        )
+        for a, b in zip(resumed.steps, reference.steps):
+            assert a.history.records == b.history.records
+
     def test_diverged_federation_rejected(self, tmp_path):
         experiment = make_experiment()
         spec = ReplaySpec(store_dir=tmp_path / "fed", shard_samples=4)

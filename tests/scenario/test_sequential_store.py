@@ -6,9 +6,7 @@ class-incremental stream whose replay memory lives in a
 per-step federation of on-disk stores must
 
 - reproduce the dense in-memory trajectory **bitwise** at the same seed;
-- keep every step's peak resident replay memory bounded by the decode
-  granularity (``shard_samples`` worth of decoded shards), audited
-  against the `hw.memory` model;
+- read each step's replay member exactly once, before training starts;
 - never let the federation exceed a global byte budget, no matter how
   many steps the stream runs.
 """
@@ -22,13 +20,13 @@ from repro.data.synthetic_shd import SyntheticSHD
 from repro.data.tasks import make_class_incremental
 from repro.errors import StoreError
 from repro.eval.scale import get_scale
-from repro.hw.memory import audit_federation, latent_memory_bytes
+from repro.hw.memory import audit_federation
+from repro.obs import Recorder, use_recorder
 from repro.replaystore import FederatedReplayStore
 from repro.scenario import get, run_scenario
 from repro.scenario.runner import create_federation
 
 SHARD_SAMPLES = 4
-CACHE_SHARDS = 2  # ReplayStream default in the store-backed NCL path
 
 
 @pytest.fixture(scope="module")
@@ -94,39 +92,61 @@ class TestBitwiseParity:
             assert mem.latent_stored_frames == disk.latent_stored_frames
 
 
-class TestBoundedReplayMemory:
-    def test_peak_replay_bytes_within_shard_bound(self, store_result):
-        """Per-step peak replay residency <= cache_shards decoded shards."""
-        federation = FederatedReplayStore.open(store_result.store_root)
-        for k, step in enumerate(store_result.steps):
-            meta = federation.member(f"step-{k:03d}").meta
-            assert meta.shard_samples == SHARD_SAMPLES
-            # A decoded shard is float32-dense: the analytic bound is
-            # the dense bytes of cache_shards shards (4 bytes/cell —
-            # 32x the bit-packed storage model for the same geometry).
-            shard_dense_bytes = 32 * latent_memory_bytes(
-                meta.stored_frames, SHARD_SAMPLES, meta.num_channels,
-                header_bytes=0,
+class TestDecodeOncePerPhase:
+    @pytest.fixture(scope="class")
+    def traced(self, stream, tmp_path_factory):
+        with use_recorder(Recorder()) as recorder:
+            result = run_scenario(
+                **stream,
+                replay=ReplaySpec(
+                    store_dir=tmp_path_factory.mktemp("seq-fed-traced"),
+                    shard_samples=2,
+                ),
             )
-            assert 0 < step.replay_peak_resident_bytes
-            assert step.replay_peak_resident_bytes <= (
-                CACHE_SHARDS * shard_dense_bytes
-            )
+        return result, recorder
 
-    def test_peak_is_a_fraction_of_the_full_buffer(self, store_result):
-        # The point of the exercise: resident replay stays far below the
-        # dense buffer a long stream would otherwise accumulate.
-        federation = FederatedReplayStore.open(store_result.store_root)
-        last = store_result.steps[-1]
-        meta = federation.member("step-002").meta
-        samples = federation.member("step-002").num_samples
-        dense_bytes = 4 * meta.stored_frames * samples * meta.num_channels
-        assert last.replay_peak_resident_bytes < dense_bytes
-
-    def test_dense_runs_report_zero(self, dense_result):
-        assert all(
-            step.replay_peak_resident_bytes == 0 for step in dense_result.steps
+    def test_each_member_shard_decoded_once_per_stream(self, traced):
+        result, recorder = traced
+        spans = recorder.spans()
+        children = {}
+        for s in spans:
+            children.setdefault(s.parent_id, []).append(s)
+        reads = [s for s in spans if s.name == "store.gather"]
+        assert len(reads) == len(result.steps)
+        for read in reads:
+            decoded = [
+                s.attrs["shard"]
+                for s in children.get(read.span_id, [])
+                if s.name == "store.decode_shard"
+            ]
+            assert read.attrs["shards"] > 1
+            assert decoded == list(range(read.attrs["shards"]))
+        # The counter agrees with the spans: every decode is one of them.
+        decodes = [s for s in spans if s.name == "store.decode_shard"]
+        total = sum(
+            m.total for m in recorder.metrics() if m.name == "store.shards_decoded"
         )
+        assert total == len(decodes)
+
+    def test_training_decodes_nothing(self, traced):
+        _, recorder = traced
+        spans = recorder.spans()
+        by_id = {s.span_id: s for s in spans}
+
+        def under_training(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                if span.name == "ncl.train":
+                    return True
+            return False
+
+        assert any(s.name == "ncl.train" for s in spans)
+        assert not any(
+            under_training(s) for s in spans if s.name == "store.decode_shard"
+        )
+
+    def test_trajectory_unchanged(self, dense_result, traced):
+        assert_trajectory_identical(dense_result, traced[0])
 
 
 class TestFederationArtifacts:
